@@ -29,6 +29,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Literal
 
 import numpy as np
@@ -52,6 +53,9 @@ __all__ = [
 # Exhaustive pair enumeration is used below this many (positive-row) pairs;
 # larger instances fall back to seeded random sampling in condition checks.
 _EXHAUSTIVE_PAIR_LIMIT = 8_000_000
+
+# Snap settles rounding ties exactly when lam = p/q with q at most this.
+_MAX_LATTICE_DENOMINATOR = 64
 
 
 def _check_lambda(lam: float) -> float:
@@ -202,22 +206,62 @@ class PLTriple:
 # -- sup-convolution -------------------------------------------------------
 
 
+def _rational(lam: float) -> tuple[int, int] | None:
+    """``(p, q)`` with ``p / q == lam`` exactly, else None.
+
+    ``q`` is at most ``_MAX_LATTICE_DENOMINATOR``.
+    """
+    r = Fraction(lam).limit_denominator(_MAX_LATTICE_DENOMINATOR)
+    p, q = r.numerator, r.denominator
+    return (p, q) if p / q == lam else None
+
+
+def _lattice(fw: np.ndarray, gw: np.ndarray, p: int, q: int) -> np.ndarray:
+    """Max of ``fw[i] * gw[j]`` over the pairs landing on each lattice index.
+
+    Pair (i, j) lands on ``m = (q - p)*i + p*j``, the exact position of
+    ``(1 - p/q)*i + (p/q)*j`` on a grid of step 1/q.  Row i of pairs is the
+    stride-p slice of the lattice starting at ``(q - p)*i``.
+    """
+    ng = gw.size
+    out = np.zeros((q - p) * (fw.size - 1) + p * (ng - 1) + 1)
+    span = p * (ng - 1) + 1
+    buf = np.empty(ng)
+    rows = np.flatnonzero(fw > 0)
+    for start, w in zip(((q - p) * rows).tolist(), fw[rows].tolist()):
+        row = out[start : start + span : p]
+        np.multiply(gw, w, out=buf)
+        np.maximum(row, buf, out=row)
+    return out
+
+
 def _snap_mode(f: GridFunction, g: GridFunction, lam: float) -> GridFunction:
     """Pair enumeration with rounding of targets to cells of the input step."""
     step = f.step
     origin = (1.0 - lam) * f.origin + lam * g.origin
+    fw = f.values ** (1.0 - lam)
+    gw = g.values**lam
+    pq = _rational(lam)
+    if pq is not None:
+        # Cell k collects lattice indices m with (2m + q) // (2q) == k, i.e.
+        # the q consecutive indices starting at k*q - q//2.
+        p, q = pq
+        lat = _lattice(fw, gw, p, q)
+        pad = q // 2
+        size = (lat.size - 1 + pad) // q + 1
+        cells = np.zeros(size * q)
+        cells[pad : pad + lat.size] = lat
+        return GridFunction(origin, step, cells.reshape(size, q).max(axis=1))
     nf, ng = f.size, g.size
     # Size must cover the snapped index of the extreme pair (i, j) =
     # (nf - 1, ng - 1), using the same floor(u + 0.5) rule as the hot loop.
     size = int(np.floor((1.0 - lam) * (nf - 1) + lam * (ng - 1) + 0.5)) + 1
     out = np.zeros(size)
-    gpow = g.values**lam
     jj = np.arange(ng, dtype=float)
-    fpos = np.flatnonzero(f.values > 0)
-    for i in fpos:
+    for i in np.flatnonzero(fw > 0):
         u = (1.0 - lam) * i + lam * jj
         k = np.floor(u + 0.5).astype(np.int64)
-        vals = (f.values[i] ** (1.0 - lam)) * gpow
+        vals = fw[i] * gw
         # k is nondecreasing in j: segmented max via reduceat.
         cut = np.flatnonzero(np.diff(k)) + 1
         starts = np.concatenate([[0], cut])
@@ -235,17 +279,9 @@ def _halfgrid_mode(f: GridFunction, g: GridFunction) -> GridFunction:
     undershoots the true sup-convolution by at most O(step**2) for smooth
     inputs (pure sampling error, no snap bias).
     """
-    step = f.step
-    nf, ng = f.size, g.size
-    sf = np.sqrt(f.values)
-    sg = np.sqrt(g.values)
-    out = np.zeros(nf + ng - 1)
-    buf = np.empty(ng)
-    for i in np.flatnonzero(sf > 0):
-        np.multiply(sg, sf[i], out=buf)
-        np.maximum(out[i : i + ng], buf, out=out[i : i + ng])
-    origin = 0.5 * (f.origin + g.origin) + 0.25 * step
-    return GridFunction(origin, 0.5 * step, out)
+    out = _lattice(f.values**0.5, g.values**0.5, 1, 2)
+    origin = 0.5 * (f.origin + g.origin) + 0.25 * f.step
+    return GridFunction(origin, 0.5 * f.step, out)
 
 
 def sup_convolution(
@@ -262,18 +298,32 @@ def sup_convolution(
     Modes:
         "snap": output on a grid with the input step; each pair's target
             ``z`` is rounded to the nearest cell center.  Works for any
-            ``lam`` but carries an upward bias of order ``step/2`` times
-            the local variation of h.
+            ``lam``.  Its error is an upward bias of order ``step`` (about
+            ``step/2`` times the local slope of h).
         "halfgrid": only for ``lam = 1/2`` and equal steps; the output
             lives on a half-step grid where midpoints of cell centers land
-            exactly, removing the snap bias entirely (error O(step**2)).
+            exactly, so there is no snap bias.  Its error is an undershoot
+            of order ``step**2`` for smooth inputs.
         "auto": "halfgrid" when applicable, otherwise "snap".
+
+    Snap tie rule: a target halfway between two cell centers goes to the
+    upper one (round half up).  When ``lam == p/q`` exactly with ``q <= 64``
+    the rule is applied to the integer lattice index
+    ``m = (q-p)*i + p*j`` of the pair, so ties are settled exactly;
+    otherwise it is ``floor(u + 0.5)`` on the float offset
+    ``u = (1-lam)*i + lam*j``.
 
     Preconditions: equal steps; lam in (0, 1).  If either input is
     identically zero the result is the zero function (a warning is
     emitted), matching the convention 0**lam = 0.
     """
     lam = _check_lambda(lam)
+    if mode == "auto":
+        mode = "halfgrid" if lam == 0.5 else "snap"
+    if mode not in ("snap", "halfgrid"):
+        raise DomainError(f"unknown sup_convolution mode {mode!r}")
+    if mode == "halfgrid" and lam != 0.5:
+        raise DomainError("halfgrid mode requires lam = 1/2")
     if not np.isclose(f.step, g.step, rtol=1e-12, atol=0.0):
         raise DomainError(
             f"sup_convolution requires equal steps, got {f.step} and {g.step}"
@@ -282,14 +332,8 @@ def sup_convolution(
         warnings.warn("sup_convolution of a zero function is zero", stacklevel=2)
         origin = (1.0 - lam) * f.origin + lam * g.origin
         return GridFunction(origin, f.step, np.zeros(1))
-    if mode == "auto":
-        mode = "halfgrid" if lam == 0.5 else "snap"
     if mode == "halfgrid":
-        if lam != 0.5:
-            raise DomainError("halfgrid mode requires lam = 1/2")
         return _halfgrid_mode(f, g)
-    if mode != "snap":
-        raise DomainError(f"unknown sup_convolution mode {mode!r}")
     return _snap_mode(f, g, lam)
 
 

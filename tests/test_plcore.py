@@ -170,18 +170,82 @@ def test_supconv_zero_input_warns_and_returns_zero():
     with pytest.warns(UserWarning):
         h = sup_convolution(f, z, 0.5)
     assert h.is_zero()
+    # The mode is validated before the zero shortcut.
+    with pytest.raises(DomainError):
+        sup_convolution(f, z, 0.5, mode="bogus")
 
 
 def test_halfgrid_requires_half_lambda():
     f = indicator(0, 1, 1.0, 0.01)
-    with pytest.raises(DomainError):
-        sup_convolution(f, f, 0.3, mode="halfgrid")
+    z = grid_function(0.0, 0.01, np.zeros(10))
+    for g in (f, z):
+        with pytest.raises(DomainError):
+            sup_convolution(f, g, 0.3, mode="halfgrid")
 
 
 def test_halfgrid_step_is_half():
     f = indicator(0, 1, 1.0, 0.01)
     h = sup_convolution(f, f, 0.5, mode="halfgrid")
     assert h.step == pytest.approx(0.005)
+
+
+def _small_random_pair(rng):
+    """Two functions of 1-40 cells on a common step, some cells zero."""
+    fns = []
+    for _ in range(2):
+        n = int(rng.integers(1, 41))
+        v = rng.uniform(0.0, 1.0, n)
+        v[rng.uniform(size=n) < 0.25] = 0.0
+        v[rng.integers(n)] = rng.uniform(0.5, 1.0)
+        fns.append(grid_function(float(rng.uniform(-1.0, 1.0)), 0.01, v))
+    return fns
+
+
+def _pair_grid(f, g):
+    return np.meshgrid(np.arange(f.size), np.arange(g.size), indexing="ij")
+
+
+# Every reduced p/q with q <= 12 (including 3/10 == 0.3 and 7/10 == 0.7) is
+# snapped on the exact lattice; 0.37 has no such p/q and uses the float rule.
+_LATTICE_LAMS = [
+    (p, q) for q in range(2, 13) for p in range(1, q) if math.gcd(p, q) == 1
+]
+
+
+@pytest.mark.parametrize("p,q", _LATTICE_LAMS + [(37, None)])
+def test_snap_matches_pair_enumeration(p, q):
+    lam = 0.37 if q is None else p / q
+    rng = np.random.default_rng(p * 100 + (q or 0))
+    for _ in range(20):
+        f, g = _small_random_pair(rng)
+        i, j = _pair_grid(f, g)
+        if q is None:
+            k = np.floor((1.0 - lam) * i + lam * j + 0.5).astype(np.int64)
+        else:
+            k = (2 * ((q - p) * i + p * j) + q) // (2 * q)
+        ref = np.zeros(int(k.max()) + 1)
+        vals = np.outer(f.values ** (1.0 - lam), g.values**lam)
+        np.maximum.at(ref, k.ravel(), vals.ravel())
+        h = sup_convolution(f, g, lam, mode="snap")
+        assert h.origin == (1.0 - lam) * f.origin + lam * g.origin
+        assert h.step == f.step
+        # The powers may be evaluated an ulp apart; a pair snapped to the
+        # wrong cell moves a value by far more than this tolerance.
+        np.testing.assert_allclose(h.values, ref, rtol=8 * np.finfo(float).eps)
+
+
+def test_halfgrid_matches_pair_enumeration():
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        f, g = _small_random_pair(rng)
+        i, j = _pair_grid(f, g)
+        ref = np.zeros(f.size + g.size - 1)
+        vals = np.outer(np.sqrt(f.values), np.sqrt(g.values))
+        np.maximum.at(ref, (i + j).ravel(), vals.ravel())
+        h = sup_convolution(f, g, 0.5, mode="halfgrid")
+        assert h.origin == 0.5 * (f.origin + g.origin) + 0.25 * f.step
+        assert h.step == 0.5 * f.step
+        np.testing.assert_array_equal(h.values, ref)
 
 
 # -- deficit ---------------------------------------------------------------------
