@@ -16,8 +16,10 @@ of variables ``x = log t`` with densities ``f(x) = F(e**x) * e**x`` turns
 equal the original 2D integrals (Fubini through the layer-cake formula),
 so the 1D deficit machinery applies verbatim to the reduced triple.
 
-Grids are capped at modest sizes: the 2D sup-convolution enumerates pairs
-of positive cells directly.
+The 2D sup-convolution is the 1D snap mode applied per axis and runs on
+the same exact rational-lattice kernel (``plcore._lattice``), so 1D and
+2D share one tie rule and one output-size rule.  Grids are capped at
+modest sizes, because the work grows with the number of cell pairs.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .gridfn import DomainError, FormatError, GridFunction
-from .plcore import DeficitReport, PLTriple, deficit, sup_convolution
+from .plcore import DeficitReport, PLTriple, _deficit_report, _snap, deficit
 
 __all__ = [
     "GridFunction2D",
@@ -47,7 +49,7 @@ __all__ = [
     "write_function_2d",
 ]
 
-# Pair-enumeration guard for the direct 2D sup-convolution.
+# Size guards for the 2D sup-convolution, whose work grows with the pairs.
 _MAX_AXIS_CELLS = 192
 _MAX_PAIRS = 40_000_000
 
@@ -210,12 +212,28 @@ def multiplicative_to_additive(
 def sup_convolution_2d(
     f: GridFunction2D, g: GridFunction2D, lam: float
 ) -> GridFunction2D:
-    """Direct pair enumeration of the 2D sup-convolution.
+    """Snap sup-convolution of two 2D grid functions.
 
-    Combinations ``(1-lam) x + lam y`` of positive-cell centers are
-    snapped to the nearest cell of the output grid (same steps as the
-    inputs).  Guarded to small grids: each axis at most
-    ``192`` cells and at most 4e7 positive pairs.
+    Computes ``h(z) = sup f(x)**(1-lam) * g(y)**lam`` over pairs of cell
+    centers with ``(1-lam)x + lam*y`` in the cell of z, on a grid with the
+    input steps and origin ``(1-lam)*f.origin + lam*g.origin``.  This is
+    the 1D snap mode applied per axis, through the same kernel: each
+    pair's target is rounded to the nearest cell center on each axis.
+    Its error is an upward bias of order ``step`` per axis (about
+    ``step/2`` times the local slope of h).
+
+    Tie rule: a target halfway between two cell centers goes to the upper
+    one (round half up).  When ``lam == p/q`` exactly with ``q <= 64``
+    (and the lattice has at most 2**22 indices) the rule is applied to the
+    integer lattice index ``(q-p)*i + p*j`` of the pair on each axis, so
+    ties are settled exactly; otherwise it is ``floor(u + 0.5)`` on the
+    float offset ``u = (1-lam)*i + lam*j``.  Each axis of the output is
+    sized by the same rule applied to the extreme pair, so every pair has
+    a cell.
+
+    Guarded to small grids: each axis at most ``192`` cells and at most
+    4e7 positive pairs.  If either input is identically zero the result
+    is a 1x1 zero function (a warning is emitted).
 
     Raises:
         DomainError: On step mismatch or when the instance exceeds the
@@ -233,56 +251,32 @@ def sup_convolution_2d(
             raise DomainError(
                 f"2D grids are capped at {_MAX_AXIS_CELLS} cells per axis, got {gf.shape}"
             )
-    dx, dy = f.step
-    fi, fj = np.nonzero(f.values > 0)
-    gi, gj = np.nonzero(g.values > 0)
-    if fi.size == 0 or gi.size == 0:
-        warnings.warn("sup_convolution_2d of a zero function is zero", stacklevel=2)
-        origin = (
-            (1 - lam) * f.origin[0] + lam * g.origin[0],
-            (1 - lam) * f.origin[1] + lam * g.origin[1],
-        )
-        return GridFunction2D(origin, f.step, np.zeros((1, 1)))
-    if fi.size * gi.size > _MAX_PAIRS:
-        raise DomainError(
-            f"too many positive-cell pairs ({fi.size} * {gi.size}); "
-            f"the guard is {_MAX_PAIRS}"
-        )
     origin = (
         (1 - lam) * f.origin[0] + lam * g.origin[0],
         (1 - lam) * f.origin[1] + lam * g.origin[1],
     )
-    nx = int(np.round((1 - lam) * (f.shape[0] - 1) + lam * (g.shape[0] - 1))) + 1
-    ny = int(np.round((1 - lam) * (f.shape[1] - 1) + lam * (g.shape[1] - 1))) + 1
-    out = np.zeros((nx, ny))
-    fvals = f.values[fi, fj] ** (1.0 - lam)
-    gvals = g.values[gi, gj] ** lam
-    out_flat = out.ravel()
-    for a in range(fi.size):
-        kx = np.floor((1 - lam) * fi[a] + lam * gi + 0.5).astype(np.int64)
-        ky = np.floor((1 - lam) * fj[a] + lam * gj + 0.5).astype(np.int64)
-        flat = kx * ny + ky
-        np.maximum.at(out_flat, flat, fvals[a] * gvals)
-    return GridFunction2D(origin, (dx, dy), out)
+    nf = int(np.count_nonzero(f.values))
+    ng = int(np.count_nonzero(g.values))
+    if nf == 0 or ng == 0:
+        warnings.warn("sup_convolution_2d of a zero function is zero", stacklevel=2)
+        return GridFunction2D(origin, f.step, np.zeros((1, 1)))
+    if nf * ng > _MAX_PAIRS:
+        raise DomainError(
+            f"too many positive-cell pairs ({nf} * {ng}); the guard is {_MAX_PAIRS}"
+        )
+    values = _snap(f.values ** (1.0 - lam), g.values**lam, lam)
+    return GridFunction2D(origin, f.step, values)
 
 
 def deficit_2d(triple: Triple2D) -> DeficitReport:
-    """Normalized deficit of a 2D triple via exact cell sums."""
-    int_f = triple.f.integral()
-    int_g = triple.g.integral()
-    int_h = triple.h.integral()
-    for name, val in (("f", int_f), ("g", int_g)):
-        if not np.isfinite(val) or val <= 0.0:
-            raise DomainError(f"integral of {name} must be positive, got {val}")
-    lam = triple.lam
-    geo = int_f ** (1.0 - lam) * int_g**lam
-    return DeficitReport(
-        int_f=int_f,
-        int_g=int_g,
-        int_h=int_h,
-        geo_mean=geo,
-        epsilon=int_h / geo - 1.0,
-        a=int_g / int_f,
+    """Normalized deficit of a 2D triple via exact cell sums.
+
+    Raises:
+        DomainError: If ``int f`` or ``int g`` is zero or any integral is
+            not finite.
+    """
+    return _deficit_report(
+        triple.f.integral(), triple.g.integral(), triple.h.integral(), triple.lam
     )
 
 

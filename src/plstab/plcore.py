@@ -33,6 +33,7 @@ from fractions import Fraction
 from typing import Literal
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .gridfn import DomainError, GridFunction, IntervalUnion
 
@@ -56,6 +57,9 @@ _EXHAUSTIVE_PAIR_LIMIT = 8_000_000
 
 # Snap settles rounding ties exactly when lam = p/q with q at most this.
 _MAX_LATTICE_DENOMINATOR = 64
+# ... and when its lattice has at most this many cells: a 2D lattice grows
+# as q**2 times the output, about 1.2 GB at 192**2 cells with q = 64.
+_MAX_LATTICE_CELLS = 1 << 22
 
 
 def _check_lambda(lam: float) -> float:
@@ -217,58 +221,109 @@ def _rational(lam: float) -> tuple[int, int] | None:
 
 
 def _lattice(fw: np.ndarray, gw: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Max of ``fw[i] * gw[j]`` over the pairs landing on each lattice index.
+    """Max of ``fw[c] * gw[d]`` over the pairs landing on each lattice index.
 
-    Pair (i, j) lands on ``m = (q - p)*i + p*j``, the exact position of
-    ``(1 - p/q)*i + (p/q)*j`` on a grid of step 1/q.  Row i of pairs is the
-    stride-p slice of the lattice starting at ``(q - p)*i``.
+    ``fw`` and ``gw`` have the same number of dimensions.  On each axis,
+    pair (c, d) lands on ``m = (q - p)*c + p*d``, the exact position of
+    ``(1 - p/q)*c + (p/q)*d`` on a grid of step 1/q.  The pairs of f cell c
+    fill ``windows[c]``: the stride-p block of the lattice that starts at
+    ``(q - p)*c``.
     """
-    ng = gw.size
-    out = np.zeros((q - p) * (fw.size - 1) + p * (ng - 1) + 1)
-    span = p * (ng - 1) + 1
-    buf = np.empty(ng)
-    rows = np.flatnonzero(fw > 0)
-    for start, w in zip(((q - p) * rows).tolist(), fw[rows].tolist()):
-        row = out[start : start + span : p]
+    out = np.zeros(
+        tuple((q - p) * (nf - 1) + p * (ng - 1) + 1 for nf, ng in zip(fw.shape, gw.shape))
+    )
+    windows = as_strided(
+        out,
+        fw.shape + gw.shape,
+        tuple((q - p) * s for s in out.strides) + tuple(p * s for s in out.strides),
+    )
+    buf = np.empty(gw.shape)
+    live = fw > 0
+    # A plain int key keeps the 1D loop as cheap as a slice.
+    if fw.ndim == 1:
+        cells = np.flatnonzero(live).tolist()
+    else:
+        cells = [tuple(c) for c in np.argwhere(live).tolist()]
+    for c, w in zip(cells, fw[live].tolist()):
+        block = windows[c]
         np.multiply(gw, w, out=buf)
-        np.maximum(row, buf, out=row)
+        np.maximum(block, buf, out=block)
     return out
+
+
+def _regroup(lat: np.ndarray, q: int) -> np.ndarray:
+    """Cells of the input step from a lattice of step 1/q, on every axis.
+
+    Cell k collects the lattice indices m with ``(2m + q) // (2q) == k``,
+    i.e. the q consecutive indices starting at ``k*q - q//2``.
+    """
+    pad = q // 2
+    sizes = [(n - 1 + pad) // q + 1 for n in lat.shape]
+    cells = np.zeros([s * q for s in sizes])
+    cells[tuple(slice(pad, pad + n) for n in lat.shape)] = lat
+    split = [x for s in sizes for x in (s, q)]
+    return cells.reshape(split).max(axis=tuple(range(1, 2 * lat.ndim, 2)))
+
+
+def _float_snap(fw: np.ndarray, gw: np.ndarray, lam: float) -> np.ndarray:
+    """Snap by ``floor(u + 0.5)`` on the float offset ``u = (1-lam)*c + lam*d``.
+
+    Works on arrays of any (equal) dimension.  The output is sized by the
+    same rule applied to the extreme pair.
+    """
+    out = np.zeros(
+        tuple(
+            int(np.floor((1.0 - lam) * (nf - 1) + lam * (ng - 1) + 0.5)) + 1
+            for nf, ng in zip(fw.shape, gw.shape)
+        )
+    )
+    live = fw > 0
+    cells = np.argwhere(live)
+    # On each axis the target depends only on that axis's f index, and it
+    # rises by 0 or 1 per g cell (lam < 1).  So each f index gives one
+    # reduceat segmentation of the g axis onto a contiguous run of cells.
+    segments = []
+    for axis, ng in enumerate(gw.shape):
+        offsets = lam * np.arange(ng, dtype=float)
+        segments.append({})
+        for i in np.unique(cells[:, axis]).tolist():
+            k = np.floor((1.0 - lam) * i + offsets + 0.5).astype(np.int64)
+            starts = np.flatnonzero(np.diff(k, prepend=-1))
+            segments[axis][i] = (starts, slice(int(k[0]), int(k[0]) + starts.size))
+    for c, w in zip(cells.tolist(), fw[live].tolist()):
+        vals = w * gw
+        runs = []
+        for axis, i in enumerate(c):
+            starts, run = segments[axis][i]
+            vals = np.maximum.reduceat(vals, starts, axis=axis)
+            runs.append(run)
+        block = out[tuple(runs)]
+        np.maximum(block, vals, out=block)
+    return out
+
+
+def _snap(fw: np.ndarray, gw: np.ndarray, lam: float) -> np.ndarray:
+    """Snap sup-convolution values of ``fw = f**(1-lam)``, ``gw = g**lam``.
+
+    Exact lattice when ``lam == p/q`` with ``q <= 64`` and the lattice has
+    at most ``_MAX_LATTICE_CELLS`` cells; the float rule otherwise.
+    """
+    pq = _rational(lam)
+    if pq is not None:
+        p, q = pq
+        cells = math.prod(
+            (q - p) * (nf - 1) + p * (ng - 1) + 1 for nf, ng in zip(fw.shape, gw.shape)
+        )
+        if cells <= _MAX_LATTICE_CELLS:
+            return _regroup(_lattice(fw, gw, p, q), q)
+    return _float_snap(fw, gw, lam)
 
 
 def _snap_mode(f: GridFunction, g: GridFunction, lam: float) -> GridFunction:
     """Pair enumeration with rounding of targets to cells of the input step."""
-    step = f.step
     origin = (1.0 - lam) * f.origin + lam * g.origin
-    fw = f.values ** (1.0 - lam)
-    gw = g.values**lam
-    pq = _rational(lam)
-    if pq is not None:
-        # Cell k collects lattice indices m with (2m + q) // (2q) == k, i.e.
-        # the q consecutive indices starting at k*q - q//2.
-        p, q = pq
-        lat = _lattice(fw, gw, p, q)
-        pad = q // 2
-        size = (lat.size - 1 + pad) // q + 1
-        cells = np.zeros(size * q)
-        cells[pad : pad + lat.size] = lat
-        return GridFunction(origin, step, cells.reshape(size, q).max(axis=1))
-    nf, ng = f.size, g.size
-    # Size must cover the snapped index of the extreme pair (i, j) =
-    # (nf - 1, ng - 1), using the same floor(u + 0.5) rule as the hot loop.
-    size = int(np.floor((1.0 - lam) * (nf - 1) + lam * (ng - 1) + 0.5)) + 1
-    out = np.zeros(size)
-    jj = np.arange(ng, dtype=float)
-    for i in np.flatnonzero(fw > 0):
-        u = (1.0 - lam) * i + lam * jj
-        k = np.floor(u + 0.5).astype(np.int64)
-        vals = fw[i] * gw
-        # k is nondecreasing in j: segmented max via reduceat.
-        cut = np.flatnonzero(np.diff(k)) + 1
-        starts = np.concatenate([[0], cut])
-        segmax = np.maximum.reduceat(vals, starts)
-        ks = k[starts]
-        np.maximum.at(out, ks, segmax)
-    return GridFunction(origin, step, out)
+    values = _snap(f.values ** (1.0 - lam), g.values**lam, lam)
+    return GridFunction(origin, f.step, values)
 
 
 def _halfgrid_mode(f: GridFunction, g: GridFunction) -> GridFunction:
@@ -308,10 +363,11 @@ def sup_convolution(
 
     Snap tie rule: a target halfway between two cell centers goes to the
     upper one (round half up).  When ``lam == p/q`` exactly with ``q <= 64``
-    the rule is applied to the integer lattice index
-    ``m = (q-p)*i + p*j`` of the pair, so ties are settled exactly;
-    otherwise it is ``floor(u + 0.5)`` on the float offset
-    ``u = (1-lam)*i + lam*j``.
+    (and the lattice has at most 2**22 indices) the rule is applied to the
+    integer lattice index ``m = (q-p)*i + p*j`` of the pair, so ties are
+    settled exactly; otherwise it is ``floor(u + 0.5)`` on the float offset
+    ``u = (1-lam)*i + lam*j``.  The output is sized by the same rule
+    applied to the extreme pair.
 
     Preconditions: equal steps; lam in (0, 1).  If either input is
     identically zero the result is the zero function (a warning is
@@ -390,15 +446,18 @@ def deficit(triple: PLTriple) -> DeficitReport:
         DomainError: If ``int f`` or ``int g`` is zero or any integral is
             not finite.
     """
-    int_f = triple.f.integral()
-    int_g = triple.g.integral()
-    int_h = triple.h.integral()
+    return _deficit_report(
+        triple.f.integral(), triple.g.integral(), triple.h.integral(), triple.lam
+    )
+
+
+def _deficit_report(int_f: float, int_g: float, int_h: float, lam: float) -> DeficitReport:
+    """Deficit of a triple from its three integrals, in any dimension."""
     for name, val in (("f", int_f), ("g", int_g)):
         if not np.isfinite(val) or val <= 0.0:
             raise DomainError(f"integral of {name} must be positive, got {val}")
     if not np.isfinite(int_h):
         raise DomainError(f"integral of h must be finite, got {int_h}")
-    lam = triple.lam
     geo = int_f ** (1.0 - lam) * int_g**lam
     return DeficitReport(
         int_f=int_f,

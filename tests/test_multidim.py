@@ -20,6 +20,7 @@ from plstab import (
     sup_convolution_2d,
     write_function_2d,
 )
+from plstab import plcore
 from plstab.multidim import DistributionProfile
 
 
@@ -155,6 +156,103 @@ def test_supconv_2d_guards():
         sup_convolution_2d(big, big, 0.5)
 
 
+def test_supconv_2d_sizes_odd_extents():
+    # (1-lam)(n_f - 1) + lam(n_g - 1) = 2.5 on the second axis: the output
+    # needs 4 columns, and the pair (0, 3) + (0, 2) lands in cell (0, 3).
+    fv = np.zeros((3, 4))
+    fv[0, 3] = 1.0
+    gv = np.zeros((3, 3))
+    gv[0, 2] = 1.0
+    f = GridFunction2D((0.0, 0.0), (0.1, 0.1), fv)
+    g = GridFunction2D((0.0, 0.0), (0.1, 0.1), gv)
+    for lam in (0.5, 0.37):
+        h = sup_convolution_2d(f, g, lam)
+        k = np.floor((1 - lam) * 3 + lam * 2 + 0.5)
+        assert h.shape == (3, int(k) + 1)
+        assert h.values[0, int(k)] == pytest.approx(1.0)
+        assert h.values.sum() == pytest.approx(1.0)
+    # 2.5 on the first axis too: the top row needs a fourth cell.
+    f = GridFunction2D((0.0, 0.0), (0.1, 0.1), np.ones((4, 4)))
+    g = GridFunction2D((0.0, 0.0), (0.1, 0.1), np.ones((3, 3)))
+    h = sup_convolution_2d(f, g, 0.5)
+    assert h.shape == (4, 4)
+    np.testing.assert_array_equal(h.values, np.ones((4, 4)))
+
+
+def _small_random_2d(rng):
+    """A 2D function of 1-8 cells per axis on step 0.01, some cells zero."""
+    shape = tuple(int(n) for n in rng.integers(1, 9, size=2))
+    v = rng.uniform(0.0, 1.0, shape)
+    v[rng.uniform(size=shape) < 0.25] = 0.0
+    v[tuple(rng.integers(n) for n in shape)] = rng.uniform(0.5, 1.0)
+    origin = tuple(float(o) for o in rng.uniform(-1.0, 1.0, size=2))
+    return GridFunction2D(origin, (0.01, 0.01), v)
+
+
+# Every reduced p/q with q <= 12 is snapped on the exact lattice; 0.37 has
+# no such p/q and uses the float rule.
+_LATTICE_LAMS = [
+    (p, q) for q in range(2, 13) for p in range(1, q) if math.gcd(p, q) == 1
+]
+
+
+def _enumerate_2d(f, g, lam, pq):
+    """Reference snap output by direct enumeration of every cell pair.
+
+    Per axis, pairs are binned by ``(2m + q) // (2q)`` on the lattice index
+    ``m = (q-p)*i + p*j`` when ``pq = (p, q)``, and by ``floor(u + 0.5)``
+    on the float offset when ``pq`` is None.
+    """
+    ks = []
+    for nf, ng in zip(f.shape, g.shape):
+        i, j = np.meshgrid(np.arange(nf), np.arange(ng), indexing="ij")
+        if pq is None:
+            ks.append(np.floor((1.0 - lam) * i + lam * j + 0.5).astype(np.int64))
+        else:
+            p, q = pq
+            ks.append((2 * ((q - p) * i + p * j) + q) // (2 * q))
+    ref = np.zeros((int(ks[0].max()) + 1, int(ks[1].max()) + 1))
+    # vals[a, b, c, d] pairs f cell (a, b) with g cell (c, d).
+    vals = np.multiply.outer(f.values ** (1.0 - lam), g.values**lam)
+    kx, ky = np.broadcast_arrays(ks[0][:, None, :, None], ks[1][None, :, None, :])
+    np.maximum.at(ref, (kx.ravel(), ky.ravel()), vals.ravel())
+    return ref
+
+
+def _assert_matches(h, f, g, lam, ref):
+    assert h.origin == (
+        (1.0 - lam) * f.origin[0] + lam * g.origin[0],
+        (1.0 - lam) * f.origin[1] + lam * g.origin[1],
+    )
+    assert h.step == f.step
+    assert h.shape == ref.shape
+    # The powers may be evaluated an ulp apart; a pair snapped to the wrong
+    # cell moves a value by far more than this tolerance.
+    np.testing.assert_allclose(h.values, ref, rtol=8 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("p,q", _LATTICE_LAMS + [(37, None)])
+def test_supconv_2d_matches_pair_enumeration(p, q):
+    lam = 0.37 if q is None else p / q
+    pq = None if q is None else (p, q)
+    rng = np.random.default_rng(p * 100 + (q or 0))
+    for _ in range(20):
+        f, g = _small_random_2d(rng), _small_random_2d(rng)
+        h = sup_convolution_2d(f, g, lam)
+        _assert_matches(h, f, g, lam, _enumerate_2d(f, g, lam, pq))
+
+
+def test_supconv_2d_over_lattice_cap_uses_float_rule(monkeypatch):
+    # With no room for a lattice, lam = 0.3 takes the float fallback, whose
+    # ties differ from the lattice's on some of these pairs.
+    monkeypatch.setattr(plcore, "_MAX_LATTICE_CELLS", 0)
+    rng = np.random.default_rng(30)
+    for _ in range(20):
+        f, g = _small_random_2d(rng), _small_random_2d(rng)
+        h = sup_convolution_2d(f, g, 0.3)
+        _assert_matches(h, f, g, 0.3, _enumerate_2d(f, g, 0.3, None))
+
+
 # -- deficit_2d -------------------------------------------------------------------
 
 
@@ -175,6 +273,13 @@ def test_deficit_2d_rejects_zero_mass():
     f = square(1.0)
     with pytest.raises(DomainError):
         deficit_2d(Triple2D(z, f, f, 0.5))
+
+
+def test_deficit_2d_rejects_infinite_h_mass():
+    f = square(1.0)
+    h = GridFunction2D((0.0, 0.0), (0.1, 0.1), np.full((3, 3), 1e308))
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="integral of h"):
+        deficit_2d(Triple2D(f, f, h, 0.5))
 
 
 # -- reduced_deficit ----------------------------------------------------------------
