@@ -41,6 +41,7 @@ from .gridfn import (
     DomainError,
     FormatError,
     GridFunction,
+    _l1_shifts,
     from_samples,
     l1_distance,
     read_function,
@@ -51,6 +52,7 @@ from .rearrange import symmetric_decreasing
 from .reconstruct import (
     PipelineConfig,
     TheoremConstants,
+    _coarse_to_fine,
     is_log_concave,
     log_concave_hull,
     stability_decompose,
@@ -83,17 +85,9 @@ class Example1Row:
 
 def _min_shift_l1(g: GridFunction, f: GridFunction, max_shift: float) -> float:
     """Minimum of ``L1(g, f(. - w))`` over cell shifts with |w| <= max_shift."""
-    step = f.step
-    s_max = max(1, int(round(max_shift / step)))
-    shifts = np.arange(-s_max, s_max + 1)
-    stride = max(1, shifts.size // 256)
-    coarse = shifts[::stride]
-    vals = [l1_distance(g, f.shift(int(s) * step)) for s in coarse]
-    best = int(coarse[int(np.argmin(vals))])
-    lo, hi = best - stride, best + stride
-    fine = np.arange(lo, hi + 1)
-    fvals = [l1_distance(g, f.shift(int(s) * step)) for s in fine]
-    return float(np.min(fvals))
+    s_max = max(1, int(round(max_shift / f.step)))
+    stride = max(1, (2 * s_max + 1) // 256)
+    return _coarse_to_fine(lambda s: _l1_shifts(g, f, s), -s_max, s_max, stride)[1]
 
 
 def run_example1(

@@ -113,10 +113,6 @@ class GridFunction:
         """All cell centers."""
         return self.origin + self.step * (np.arange(self.size) + 0.5)
 
-    def cell_index(self, x: float) -> int:
-        """Index of the cell containing ``x`` (may fall outside [0, size))."""
-        return int(np.floor((x - self.origin) / self.step))
-
     # -- scalar functionals ---------------------------------------------
 
     def integral(self) -> float:
@@ -388,16 +384,44 @@ def common_grid(f: GridFunction, g: GridFunction) -> tuple[GridFunction, GridFun
     return (resample(f, lo, step, size), resample(g, lo, step, size))
 
 
-def _l1_equal_step(f: GridFunction, g: GridFunction) -> float:
-    """Exact L1 distance for equal steps and arbitrary fractional offset.
+def _refined(f: GridFunction, m: int) -> GridFunction:
+    """Split every cell into m equal subcells (exact, values repeat)."""
+    return GridFunction(f.origin, f.step / m, np.repeat(f.values, m))
 
-    In f's index frame, g's cell j occupies ``[k + frac + j, k + frac +
-    j + 1)`` with a whole-cell part k and a fractional part frac in
-    [0, 1).  Each f-frame slot i is covered by g value ``g[i-k-1]`` on its
-    first ``frac`` and ``g[i-k]`` on the remaining ``1 - frac``, so the
-    refinement integral splits into two aligned vector sums.
+
+def _step_ratio(f: GridFunction, g: GridFunction) -> int:
+    """Whole m with ``max(steps) = m * min(steps)`` (1 if equal), else 0."""
+    if np.isclose(f.step, g.step, rtol=1e-12, atol=0.0):
+        return 1
+    ratio = max(f.step, g.step) / min(f.step, g.step)
+    m = int(np.round(ratio))
+    return m if m >= 2 and abs(ratio - m) < 1e-9 else 0
+
+
+def _l1_shifts(f: GridFunction, g: GridFunction, shifts: np.ndarray) -> np.ndarray:
+    """``l1_distance(f, g.shift(s * g.step))`` for every whole-cell shift s.
+
+    Equal steps and integer step ratios put both functions on the finer
+    step once.  In f's index frame, g's cell j then occupies ``[k + frac
+    + j, k + frac + j + 1)`` with a whole-cell part k and a fractional
+    part frac in [0, 1), so the refinement integral is ``frac * A(k + 1)
+    + (1 - frac) * A(k)``, where ``A(t)`` is the aligned sum of ``|f - g|``
+    with g starting at slot t.  Each ``A(t)`` is one window of the
+    zero-padded f against g, plus the mass of f outside that window taken
+    from prefix sums of f; the outside mass is exactly 0 when the window
+    covers f.  Incommensurate steps fall back to one ``l1_distance`` per
+    shift.
     """
-    step = f.step
+    shifts = np.asarray(shifts, dtype=np.int64)
+    m = _step_ratio(f, g)
+    if not m:
+        return np.array([l1_distance(f, g.shift(s * g.step)) for s in shifts])
+    cells = 1
+    if m > 1 and f.step > g.step:
+        f = _refined(f, m)
+    elif m > 1:
+        g, cells = _refined(g, m), m
+    step = g.step if cells > 1 else f.step
     off = (g.origin - f.origin) / step
     k = int(np.floor(off))
     frac = off - k
@@ -406,29 +430,19 @@ def _l1_equal_step(f: GridFunction, g: GridFunction) -> float:
         frac = 0.0
     elif frac < 1e-12:
         frac = 0.0
-    # Union of index ranges in f's frame (g occupies slots k..k+size, the
-    # last one only when frac > 0).
-    g_extra = 1 if frac > 0.0 else 0
-    lo = min(0, k)
-    hi = max(f.size, k + g.size + g_extra)
-    n = hi - lo
-    fv = np.zeros(n)
-    fv[-lo : -lo + f.size] = f.values
-    # gA[i] covers [i, i+frac): the g cell ending inside slot i (j = i-k-1).
-    # gB[i] covers [i+frac, i+1): the g cell starting inside (j = i-k).
-    gB = np.zeros(n)
-    gB[k - lo : k - lo + g.size] = g.values
-    if frac == 0.0:
-        return float(np.abs(fv - gB).sum() * step)
-    gA = np.zeros(n)
-    gA[k + 1 - lo : k + 1 - lo + g.size] = g.values
-    total = frac * np.abs(fv - gA).sum() + (1.0 - frac) * np.abs(fv - gB).sum()
-    return float(total * step)
-
-
-def _refined(f: GridFunction, m: int) -> GridFunction:
-    """Split every cell into m equal subcells (exact, values repeat)."""
-    return GridFunction(f.origin, f.step / m, np.repeat(f.values, m))
+    n, size = g.size, f.size
+    pad = np.concatenate([np.zeros(n), f.values, np.zeros(n)])
+    cum = np.concatenate([[0.0], np.cumsum(f.values)])
+    # Starts beyond [-n, size] see an all-zero window, as the clipped ones do.
+    starts = k + cells * shifts[:, None] + np.arange(2 if frac else 1)
+    starts = np.clip(starts, -n, size)
+    uniq, inv = np.unique(starts, return_inverse=True)
+    aligned = np.array([np.abs(pad[t + n : t + 2 * n] - g.values).sum() for t in uniq])
+    aligned += cum[np.clip(uniq, 0, size)] + (cum[size] - cum[np.clip(uniq + n, 0, size)])
+    aligned = aligned[inv].reshape(starts.shape)
+    if frac:
+        return (frac * aligned[:, 1] + (1.0 - frac) * aligned[:, 0]) * step
+    return aligned[:, 0] * step
 
 
 def l1_distance(f: GridFunction, g: GridFunction) -> float:
@@ -436,17 +450,13 @@ def l1_distance(f: GridFunction, g: GridFunction) -> float:
 
     Integrates over the common refinement of the two cell partitions, on
     which both functions are constant, so no resampling error is incurred.
-    Equal steps (any offset) and integer step ratios take O(N) vector
-    paths; only truly incommensurate steps fall back to sorting the union
+    Equal steps (any offset) and integer step ratios are ``_l1_shifts`` at
+    shift 0, an O(N) vector path whose rounding is of order eps times the
+    mass; only truly incommensurate steps fall back to sorting the union
     of edges.
     """
-    if np.isclose(f.step, g.step, rtol=1e-12, atol=0.0):
-        return _l1_equal_step(f, g)
-    big, small = (f, g) if f.step > g.step else (g, f)
-    ratio = big.step / small.step
-    m = int(np.round(ratio))
-    if m >= 2 and abs(ratio - m) < 1e-9:
-        return _l1_equal_step(_refined(big, m), small)
+    if _step_ratio(f, g):
+        return float(_l1_shifts(f, g, [0])[0])
     edges = np.union1d(f.edges(), g.edges())
     mids = 0.5 * (edges[:-1] + edges[1:])
     lengths = np.diff(edges)

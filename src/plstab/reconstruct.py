@@ -16,6 +16,10 @@ module implements the constructive side:
   scaled witness,
 * ``stability_decompose``: the end-to-end pipeline from a triple to a
   report with normalized L1 errors and the theoretical bound.
+
+Every whole-cell shift scan (``align``, stage 6, the CLI's example 1) is
+one ``_coarse_to_fine`` pass over the L1 kernel ``gridfn._l1_shifts``, of
+which commensurate ``l1_distance`` is shift 0 (rounding ~ eps * mass).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Literal
 
 import numpy as np
 
-from .gridfn import DomainError, GridFunction, l1_distance
+from .gridfn import DomainError, GridFunction, _l1_shifts, l1_distance
 from .plcore import (
     DeficitReport,
     PLTriple,
@@ -370,6 +374,22 @@ def from_envelopes(
 # -- alignment ---------------------------------------------------------------
 
 
+def _coarse_to_fine(objective, lo: int, hi: int, stride: int) -> tuple[int, float]:
+    """First minimiser over whole-cell shifts of ``objective``, and its value.
+
+    ``objective`` maps an int array of shifts to their values.  A coarse
+    pass every ``stride`` cells of ``[lo, hi]`` is followed by every cell
+    within ``stride`` of the coarse best, which bounds the error of the
+    two-stage search by the coarse-scan granularity.
+    """
+    coarse = np.arange(lo, hi + 1, stride)
+    best = int(coarse[np.argmin(objective(coarse))])
+    fine = np.arange(best - stride, best + stride + 1)
+    vals = objective(fine)
+    k = int(np.argmin(vals))
+    return int(fine[k]), float(vals[k])
+
+
 @dataclass(frozen=True)
 class AlignResult:
     """Best shift pairing ``a**lam * f`` with a translated witness.
@@ -395,8 +415,9 @@ def align(
 
     The scan runs over whole-cell shifts of the witness: a coarse pass at
     ``coarse_stride`` cells followed by an exhaustive pass inside the best
-    coarse bracket, which bounds the error of the two-stage search by the
-    coarse-scan granularity.
+    coarse bracket (``_coarse_to_fine``).  Every shift is evaluated by the
+    exact L1 kernel ``gridfn._l1_shifts``, whose commensurate path
+    rounds at order eps times the mass.
 
     Raises:
         DomainError: If ``a`` is not positive or lam is outside (0, 1).
@@ -415,20 +436,10 @@ def align(
     n_shifts = s_max - s_min + 1
     if coarse_stride is None:
         coarse_stride = max(1, n_shifts // 512)
-
-    def objective(s: int) -> float:
-        return l1_distance(target, h_tilde.shift(s * step))
-
-    coarse = np.arange(s_min, s_max + 1, coarse_stride)
-    vals = np.array([objective(int(s)) for s in coarse])
-    best = int(coarse[np.argmin(vals)])
-    lo = best - coarse_stride
-    hi = best + coarse_stride
-    fine = np.arange(lo, hi + 1)
-    fvals = np.array([objective(int(s)) for s in fine])
-    k = int(np.argmin(fvals))
-    s_best = int(fine[k])
-    return AlignResult(w=s_best * step / lam, err=float(fvals[k]))
+    s_best, err = _coarse_to_fine(
+        lambda s: _l1_shifts(target, h_tilde, s), s_min, s_max, coarse_stride
+    )
+    return AlignResult(w=s_best * step / lam, err=err)
 
 
 # -- the pipeline -------------------------------------------------------------
@@ -446,7 +457,6 @@ class PipelineConfig:
             selects the theory default plus a grid allowance.
         omega0: Free constant parameter.
         supconv_mode: Mode for canonical sup-convolutions in the pipeline.
-        run_interpolation_checks: Toggle three/four-point diagnostics.
     """
 
     level_count: int = 512
@@ -454,7 +464,6 @@ class PipelineConfig:
     good_threshold: float | None = None
     omega0: float = 1.0
     supconv_mode: Literal["snap", "halfgrid", "auto"] = "snap"
-    run_interpolation_checks: bool = True
 
 
 @dataclass(frozen=True)
@@ -628,28 +637,27 @@ def stability_decompose(
     flags["int_fbar"] = fbar.integral()
     flags["int_gbar"] = gbar.integral()
     flags["int_hbar"] = hbar.integral()
-    if config.run_interpolation_checks:
-        # Profile boundaries are quantized to cell edges, so each term of
-        # an interpolation check carries up to one step of jitter; sigma =
-        # 2*step is the exact allowance for concave/convex continuum data.
-        sigma = 2.0 * step
-        phb = extract_profile(hbar, levels)
-        tp = three_point_check(rf, rg, phb, lam, sigma=sigma)
-        flags["three_point_violations"] = tp.count
-        flags["three_point_max_excess"] = tp.max_excess
-        # Right boundaries should be almost concave, left boundaries almost
-        # convex (checked through their negation).
-        for name, prof in (("f", rf), ("g", rg)):
-            usable = prof.usable()
-            if usable.sum() >= 2:
-                fp_b = four_point_check(
-                    prof.log_levels, prof.right, lam, sigma=sigma, valid=usable
-                )
-                fp_a = four_point_check(
-                    prof.log_levels, -prof.left, lam, sigma=sigma, valid=usable
-                )
-                flags[f"four_point_b_{name}_violations"] = fp_b.count
-                flags[f"four_point_a_{name}_violations"] = fp_a.count
+    # Profile boundaries are quantized to cell edges, so each term of
+    # an interpolation check carries up to one step of jitter; sigma =
+    # 2*step is the exact allowance for concave/convex continuum data.
+    sigma = 2.0 * step
+    phb = extract_profile(hbar, levels)
+    tp = three_point_check(rf, rg, phb, lam, sigma=sigma)
+    flags["three_point_violations"] = tp.count
+    flags["three_point_max_excess"] = tp.max_excess
+    # Right boundaries should be almost concave, left boundaries almost
+    # convex (checked through their negation).
+    for name, prof in (("f", rf), ("g", rg)):
+        usable = prof.usable()
+        if usable.sum() >= 2:
+            fp_b = four_point_check(
+                prof.log_levels, prof.right, lam, sigma=sigma, valid=usable
+            )
+            fp_a = four_point_check(
+                prof.log_levels, -prof.left, lam, sigma=sigma, valid=usable
+            )
+            flags[f"four_point_b_{name}_violations"] = fp_b.count
+            flags[f"four_point_a_{name}_violations"] = fp_a.count
 
     # Stage 4: envelopes and monotonization.
     env_f, _ = _fit_envelopes(rf)
@@ -676,35 +684,23 @@ def stability_decompose(
 
     # One shared translation must serve f and g simultaneously: scan cell
     # shifts s of the witness (w = s*step/lam) and minimize the sum.
-    target_f = fn
-    target_g = gn
     step_h = htn.step
-    t_lo = min(target_f.window[0], target_g.window[0])
-    t_hi = max(target_f.window[1], target_g.window[1])
+    t_lo = min(fn.window[0], gn.window[0])
+    t_hi = max(fn.window[1], gn.window[1])
     h_lo, h_hi = htn.window
     s_min = int(np.floor((t_lo - h_hi) / step_h)) - 1
     s_max = int(np.ceil((t_hi - h_lo) / step_h)) + 1
-    n_shifts = max(1, s_max - s_min + 1)
-    stride = max(1, n_shifts // 512)
+    stride = max(1, (s_max - s_min + 1) // 512)
 
-    def pair_err(s: int) -> tuple[float, float]:
-        w = s * step_h / lam
-        ef = l1_distance(target_f, htn.shift(lam * w)) / int_h
-        eg = l1_distance(target_g, htn.shift((lam - 1.0) * w)) / int_h
+    def pair_err(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # The g term moves by (lam - 1) * w, snapped to whole cells.
+        s_g = np.round(((lam - 1.0) * (s * step_h / lam)) / step_h)
+        ef = _l1_shifts(fn, htn, s) / int_h
+        eg = _l1_shifts(gn, htn, s_g) / int_h
         return ef, eg
 
-    coarse = np.arange(s_min, s_max + 1, stride)
-    sums = []
-    for s in coarse:
-        ef, eg = pair_err(int(s))
-        sums.append(ef + eg)
-    best = int(coarse[int(np.argmin(sums))])
-    fine = np.arange(best - stride, best + stride + 1)
-    best_s, best_ef, best_eg = best, math.inf, math.inf
-    for s in fine:
-        ef, eg = pair_err(int(s))
-        if ef + eg < best_ef + best_eg:
-            best_s, best_ef, best_eg = int(s), ef, eg
+    best_s, _ = _coarse_to_fine(lambda s: np.add(*pair_err(s)), s_min, s_max, stride)
+    best_ef, best_eg = (float(e[0]) for e in pair_err(np.array([best_s])))
     w = best_s * step_h / lam
 
     report = StabilityReport(

@@ -19,6 +19,7 @@ from plstab import (
     resample,
     write_function,
 )
+from plstab.gridfn import _l1_shifts
 
 STEP = 1e-3
 
@@ -269,6 +270,44 @@ def test_l1_symmetry_and_triangle():
     a, b, c = fs
     assert l1_distance(a, b) == pytest.approx(l1_distance(b, a), rel=1e-12)
     assert l1_distance(a, c) <= l1_distance(a, b) + l1_distance(b, c) + 1e-12
+
+
+def _rough(rng, origin, step, n):
+    """Random cell values with hard zeros."""
+    vals = rng.uniform(0, 2, n)
+    vals[rng.random(n) < 0.3] = 0.0
+    return grid_function(origin, step, vals)
+
+
+@pytest.mark.parametrize(
+    "step_a, step_b",
+    [
+        (0.1, 0.1),
+        (0.1, 0.05),
+        (0.05, 0.1),
+        (0.09, 0.03),
+        (0.03, 0.09),
+        (0.1, 0.1 * math.sqrt(2)),  # incommensurate: one l1_distance per shift
+    ],
+)
+def test_l1_shifts_matches_per_shift_distance(step_a, step_b):
+    rng = np.random.default_rng(15)
+    for frac in (0.0, 0.37, 0.999, 1e-13, 1.0 - 1e-13, -1e-13):
+        for _ in range(4):
+            a = _rough(rng, rng.uniform(-1, 1), step_a, int(rng.integers(1, 30)))
+            whole = int(rng.integers(-5, 5))
+            b = _rough(rng, a.origin + step_a * (whole + frac), step_b, int(rng.integers(1, 30)))
+            # Far enough in both directions that the two windows do not meet;
+            # unordered, with repeats.
+            reach = int((a.size + 6) * step_a / step_b) + b.size + 2
+            shifts = rng.permutation(np.arange(-reach, reach + 1))
+            shifts = np.concatenate([shifts, shifts[:5]])
+            got = _l1_shifts(a, b, shifts)
+            ref = [l1_distance(a, b.shift(k * b.step)) for k in shifts]
+            assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+            for k, d in zip(shifts[:6], got):
+                oracle = _l1_bruteforce(a, b.shift(k * b.step))
+                assert d == pytest.approx(oracle, rel=1e-10, abs=1e-12)
 
 
 # -- resample and common grid --------------------------------------------------

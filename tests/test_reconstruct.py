@@ -332,3 +332,69 @@ def test_pipeline_rejects_mismatched_steps():
 
     with pytest.raises(DomainError):
         stability_decompose(PLTriple(f, g, h, 0.5), equality_config())
+
+
+def _stage6_reference(triple, htn):
+    """Stage 6 as a per-shift loop over shifted copies of the witness.
+
+    This is the scan the pipeline ran before the shared L1 kernel: the
+    same coarse and fine passes, one ``l1_distance`` per term and shift.
+    """
+    lam = triple.lam
+    d = deficit(triple)
+    fn = triple.f.scale(1.0 / d.int_f)
+    gn = triple.g.scale(1.0 / d.int_g)
+    int_h = triple.h.scale(1.0 / d.geo_mean).integral()
+    step_h = htn.step
+    t_lo = min(fn.window[0], gn.window[0])
+    t_hi = max(fn.window[1], gn.window[1])
+    h_lo, h_hi = htn.window
+    s_min = int(np.floor((t_lo - h_hi) / step_h)) - 1
+    s_max = int(np.ceil((t_hi - h_lo) / step_h)) + 1
+    stride = max(1, max(1, s_max - s_min + 1) // 512)
+
+    def pair_err(s):
+        w = s * step_h / lam
+        ef = l1_distance(fn, htn.shift(lam * w)) / int_h
+        eg = l1_distance(gn, htn.shift((lam - 1.0) * w)) / int_h
+        return ef, eg
+
+    coarse = np.arange(s_min, s_max + 1, stride)
+    best = int(coarse[int(np.argmin([sum(pair_err(int(s))) for s in coarse]))])
+    best_s, best_ef, best_eg = best, math.inf, math.inf
+    for s in np.arange(best - stride, best + stride + 1):
+        ef, eg = pair_err(int(s))
+        if ef + eg < best_ef + best_eg:
+            best_s, best_ef, best_eg = int(s), ef, eg
+    return best_s * step_h / lam, best_ef, best_eg
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.3, 0.7])
+@pytest.mark.parametrize("seed", [21, 22])
+def test_pipeline_shift_scan_matches_per_shift_loop(monkeypatch, lam, seed):
+    from plstab import PLTriple, reconstruct
+
+    f = random_log_concave(seed, step=2e-3, window=(-3, 3))
+    if lam == 0.5:
+        g = f.with_values(f.values * np.linspace(0.9, 1.1, f.size))
+        config = PipelineConfig(supconv_mode="auto")
+        triple = PLTriple(f, g, sup_convolution(f, g, lam, mode="auto"), lam)
+    else:
+        g = random_grid_function(seed + 100, step=2e-3, window=(-3, 3))
+        config = PipelineConfig()
+        triple = canonical_triple(f, g, lam, mode="snap")
+    # The last sup-convolution of the pipeline is the stage-5 witness h~.
+    witnesses = []
+    real = reconstruct.sup_convolution
+    monkeypatch.setattr(
+        reconstruct,
+        "sup_convolution",
+        lambda *args, **kw: witnesses.append(real(*args, **kw)) or witnesses[-1],
+    )
+    rep, *_ = stability_decompose(triple, config)
+    htn = witnesses[-1]
+    assert (htn.step != f.step) == (lam == 0.5)
+    w, err_f, err_g = _stage6_reference(triple, htn)
+    assert rep.w == w
+    assert rep.err_f == pytest.approx(err_f, rel=1e-9)
+    assert rep.err_g == pytest.approx(err_g, rel=1e-9)
