@@ -44,6 +44,10 @@ __all__ = [
     "four_point_check",
 ]
 
+# Pairs evaluated per array op by the interpolation checks; bounds their
+# temporaries to a few hundred kB whatever the grid size.
+_CHUNK_PAIRS = 1 << 14
+
 
 @dataclass(frozen=True)
 class EnvelopePair:
@@ -220,6 +224,35 @@ def _lipschitz(y: np.ndarray, valid: np.ndarray) -> float:
     return float(adj.max())
 
 
+def _snap_float(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``floor(u + 0.5)`` clipped to the grid, and the distance to it."""
+    k = np.clip(np.floor(u + 0.5).astype(np.int64), 0, n - 1)
+    return k, np.abs(u - k)
+
+
+def _row_chunks(lengths: np.ndarray):
+    """Bounds ``(r0, r1)`` of consecutive rows of about ``_CHUNK_PAIRS`` pairs."""
+    ends = np.cumsum(lengths)
+    if not ends.size or not ends[-1]:
+        return []
+    cuts = np.searchsorted(ends, np.arange(_CHUNK_PAIRS, ends[-1], _CHUNK_PAIRS))
+    bounds = np.unique(np.concatenate([[0], cuts, [lengths.size]]))
+    return zip(bounds[:-1], bounds[1:])
+
+
+def _tally(excess: np.ndarray, ok: np.ndarray, guard: float) -> tuple[int, int, int, float]:
+    """Checked and violating tuples of one chunk, and its worst violation.
+
+    Returns ``(checked, count, w, top)`` where ``w`` is the flat row-major
+    index of the first largest violating excess and ``top`` that excess
+    (0.0 when nothing violates, since every violation exceeds guard > 0).
+    """
+    bad = ok & (excess > guard)
+    top = np.where(bad, excess, 0.0)
+    w = int(np.argmax(top))
+    return int(ok.sum()), int(bad.sum()), w, float(top.flat[w])
+
+
 def three_point_check(
     profile_a: LevelProfile,
     profile_b: LevelProfile,
@@ -239,6 +272,9 @@ def three_point_check(
     at the interpolated level: all of a, b, c must be usable at T.  The
     slack is the snap distance times the local Lipschitz constants of the
     half-width samples, so unsnapped grid points get none.
+
+    Snapping is ``floor(u + 0.5)`` on the float index.  ``worst`` is the
+    first worst pair in row-major (i, j) order.
     """
     levels = profile_a.levels
     for other in (profile_b, profile_c):
@@ -269,32 +305,23 @@ def three_point_check(
     checked = 0
     max_excess = 0.0
     worst = None
-    jj = np.arange(n, dtype=float)
-    for i in range(n):
-        if not ua[i]:
-            continue
-        u = (1.0 - lam) * i + lam * jj
-        k = np.clip(np.floor(u + 0.5).astype(np.int64), 0, n - 1)
-        ok = ub & ua[k] & ub[k] & uc[k]
-        if not ok.any():
-            continue
-        j = np.flatnonzero(ok)
-        kk = k[j]
-        snap = np.abs(u[j] - kk)
+    rows = np.flatnonzero(ua)
+    j = np.flatnonzero(ub)[None, :]
+    for r0, r1 in _row_chunks(np.full(rows.size, j.size)):
+        i = rows[r0:r1, None]
+        k, snap = _snap_float((1.0 - lam) * i + lam * j, n)
+        ok = ua[k] & ub[k] & uc[k]
         slack = (la + lb) * snap
         lhs = (1.0 - lam) * wa[i] + lam * wb[j]
-        rhs = (1.0 - lam) * wa[kk] + lam * wb[kk]
+        rhs = (1.0 - lam) * wa[k] + lam * wb[k]
         excess = lhs - rhs - sigma - slack
-        checked += j.size
-        bad = excess > guard
-        nbad = int(bad.sum())
-        if nbad:
-            count += nbad
-            w = int(np.argmax(excess[bad]))
-            if excess[bad][w] > max_excess:
-                max_excess = float(excess[bad][w])
-                jw = j[bad][w]
-                worst = (float(levels[i]), float(levels[jw]), float(levels[k[jw]]))
+        c, nbad, w, top = _tally(excess, ok, guard)
+        checked += c
+        count += nbad
+        if top > max_excess:
+            max_excess = top
+            r, col = divmod(w, j.size)
+            worst = (float(levels[i[r, 0]]), float(levels[j[0, col]]), float(levels[k[r, col]]))
     return ViolationReport(count=count, checked=checked, max_excess=max_excess, worst=worst)
 
 
@@ -319,6 +346,9 @@ def four_point_check(
     difference of psi over valid points) times the total snap distance of
     the two combinations.  Violations are counted only when all four
     points are valid.
+
+    Snapping is ``floor(u + 0.5)`` on the float targets.  ``worst`` is the
+    first worst pair in row-major (i, j) order.
 
     Raises:
         DomainError: If the grid is not uniform or exceeds ``max_points``.
@@ -347,33 +377,24 @@ def four_point_check(
     max_excess = 0.0
     worst = None
     denom = 2.0 - lam
-    for pos, i in enumerate(idx):
-        j = idx[pos:]
-        u12 = (i + (1.0 - lam) * j) / denom
-        u21 = ((1.0 - lam) * i + j) / denom
-        k12 = np.clip(np.floor(u12 + 0.5).astype(np.int64), 0, n - 1)
-        k21 = np.clip(np.floor(u21 + 0.5).astype(np.int64), 0, n - 1)
+    # Row r of the upper triangle pairs idx[r] with idx[r:].
+    lengths = idx.size - np.arange(idx.size)
+    for r0, r1 in _row_chunks(lengths):
+        rl = lengths[r0:r1]
+        rr = np.repeat(np.arange(r0, r1), rl)
+        cc = rr + np.arange(rr.size) - np.repeat(np.cumsum(rl) - rl, rl)
+        i = idx[rr]
+        j = idx[cc]
+        k12, s12 = _snap_float((i + (1.0 - lam) * j) / denom, n)
+        k21, s21 = _snap_float(((1.0 - lam) * i + j) / denom, n)
+        snap = s12 + s21
         ok = valid[k12] & valid[k21]
-        if not ok.any():
-            continue
-        j = j[ok]
-        k12 = k12[ok]
-        k21 = k21[ok]
-        snap = np.abs(u12[ok] - k12) + np.abs(u21[ok] - k21)
         slack = lip * snap
         excess = psi[i] + psi[j] - psi[k12] - psi[k21] - sigma - slack
-        checked += j.size
-        bad = excess > guard
-        nbad = int(bad.sum())
-        if nbad:
-            count += nbad
-            w = int(np.argmax(excess[bad]))
-            if excess[bad][w] > max_excess:
-                max_excess = float(excess[bad][w])
-                worst = (
-                    float(T[i]),
-                    float(T[j[bad][w]]),
-                    float(T[k12[bad][w]]),
-                    float(T[k21[bad][w]]),
-                )
+        c, nbad, w, top = _tally(excess, ok, guard)
+        checked += c
+        count += nbad
+        if top > max_excess:
+            max_excess = top
+            worst = (float(T[i[w]]), float(T[j[w]]), float(T[k12[w]]), float(T[k21[w]]))
     return ViolationReport(count=count, checked=checked, max_excess=max_excess, worst=worst)

@@ -106,26 +106,26 @@ def extract_profile(f: GridFunction, levels: np.ndarray) -> LevelProfile:
 
     Levels at or above the sup norm produce empty sets (NaN endpoints,
     valid=False).  Measures are exact cell counts times the step.
+
+    The first cell above t is the first place where the running maximum
+    of the values exceeds t, so one ``searchsorted`` on the running
+    maximum from each end gives both hull ends for every level at once.
     """
     levels = np.asarray(levels, dtype=float)
-    n = levels.size
-    left = np.full(n, np.nan)
-    right = np.full(n, np.nan)
-    deficit = np.full(n, np.nan)
     vals = f.values
     # Sorted copy gives the superlevel *measure* per level in one shot.
     sorted_vals = np.sort(vals)
     counts = vals.size - np.searchsorted(sorted_vals, levels, side="right")
-    for k, t in enumerate(levels):
-        if counts[k] == 0:
-            continue
-        idx = np.flatnonzero(vals > t)
-        lo = f.origin + idx[0] * f.step
-        hi = f.origin + (idx[-1] + 1) * f.step
-        left[k] = lo
-        right[k] = hi
-        deficit[k] = (hi - lo) - counts[k] * f.step
-    valid = ~np.isnan(left)
+    first = np.searchsorted(np.maximum.accumulate(vals), levels, side="right")
+    last = vals.size - 1 - np.searchsorted(
+        np.maximum.accumulate(vals[::-1]), levels, side="right"
+    )
+    valid = counts > 0
+    lo = f.origin + first * f.step
+    hi = f.origin + (last + 1) * f.step
+    left = np.where(valid, lo, np.nan)
+    right = np.where(valid, hi, np.nan)
+    deficit = np.where(valid, (hi - lo) - counts * f.step, np.nan)
     return LevelProfile(levels, left, right, valid, deficit)
 
 

@@ -12,6 +12,7 @@ from plstab import (
     monotonize,
     three_point_check,
 )
+from plstab.envelope import _CHUNK_PAIRS, _lipschitz
 from plstab.profiles import LevelProfile
 
 
@@ -291,3 +292,170 @@ def test_four_point_requires_uniform_grid():
     T = np.array([0.0, 0.1, 0.5, 1.0])
     with pytest.raises(DomainError):
         four_point_check(T, T**2, 0.5)
+
+
+# -- vectorised checks against the per-row loops they replaced ----------------------
+
+CHECK_LAMBDAS = [0.25, 0.3, 0.5, 0.7, 5.0 / 6.0, 0.37]
+
+
+def loop_snap(u, n):
+    return np.clip(np.floor(u + 0.5).astype(np.int64), 0, n - 1)
+
+
+def loop_three_point(profile_a, profile_b, profile_c, lam, sigma):
+    """The per-row loop of three_point_check, kept as the reference."""
+    levels = profile_a.levels
+    n = levels.size
+    wa = 0.5 * (profile_a.right - profile_a.left)
+    wb = 0.5 * (profile_b.right - profile_b.left)
+    ua, ub, uc = profile_a.usable(), profile_b.usable(), profile_c.usable()
+    la = _lipschitz(wa, ua)
+    lb = _lipschitz(wb, ub)
+    scale = 1.0 + max(
+        float(np.nanmax(np.abs(wa[ua]))) if ua.any() else 0.0,
+        float(np.nanmax(np.abs(wb[ub]))) if ub.any() else 0.0,
+    )
+    guard = 1e-12 * scale
+    count = checked = 0
+    max_excess = 0.0
+    worst = None
+    jj = np.arange(n, dtype=float)
+    for i in range(n):
+        if not ua[i]:
+            continue
+        u = (1.0 - lam) * i + lam * jj
+        k = loop_snap(u, n)
+        ok = ub & ua[k] & ub[k] & uc[k]
+        if not ok.any():
+            continue
+        j = np.flatnonzero(ok)
+        kk = k[j]
+        slack = (la + lb) * np.abs(u[j] - kk)
+        lhs = (1.0 - lam) * wa[i] + lam * wb[j]
+        rhs = (1.0 - lam) * wa[kk] + lam * wb[kk]
+        excess = lhs - rhs - sigma - slack
+        checked += j.size
+        bad = excess > guard
+        if bad.any():
+            count += int(bad.sum())
+            w = int(np.argmax(excess[bad]))
+            if excess[bad][w] > max_excess:
+                max_excess = float(excess[bad][w])
+                jw = j[bad][w]
+                worst = (float(levels[i]), float(levels[jw]), float(levels[k[jw]]))
+    return count, checked, max_excess, worst
+
+
+def loop_four_point(T, psi, lam, sigma, valid):
+    """The per-row loop of four_point_check, kept as the reference."""
+    n = T.size
+    valid = valid & np.isfinite(psi)
+    lip = _lipschitz(psi, valid)
+    idx = np.flatnonzero(valid)
+    guard = 1e-12 * (1.0 + float(np.max(np.abs(psi[idx]))) if idx.size else 1.0)
+    count = checked = 0
+    max_excess = 0.0
+    worst = None
+    denom = 2.0 - lam
+    for pos, i in enumerate(idx):
+        j = idx[pos:]
+        u12 = (i + (1.0 - lam) * j) / denom
+        u21 = ((1.0 - lam) * i + j) / denom
+        k12 = loop_snap(u12, n)
+        k21 = loop_snap(u21, n)
+        ok = valid[k12] & valid[k21]
+        if not ok.any():
+            continue
+        j, k12, k21 = j[ok], k12[ok], k21[ok]
+        snap = np.abs(u12[ok] - k12) + np.abs(u21[ok] - k21)
+        excess = psi[i] + psi[j] - psi[k12] - psi[k21] - sigma - lip * snap
+        checked += j.size
+        bad = excess > guard
+        if bad.any():
+            count += int(bad.sum())
+            w = int(np.argmax(excess[bad]))
+            if excess[bad][w] > max_excess:
+                max_excess = float(excess[bad][w])
+                worst = (
+                    float(T[i]),
+                    float(T[j[bad][w]]),
+                    float(T[k12[bad][w]]),
+                    float(T[k21[bad][w]]),
+                )
+    return count, checked, max_excess, worst
+
+
+def assert_report_matches(rep, ref):
+    count, checked, max_excess, worst = ref
+    assert (rep.count, rep.checked, rep.worst) == (count, checked, worst)
+    assert rep.max_excess == pytest.approx(max_excess, rel=1e-12, abs=0.0)
+
+
+def noisy_profile(rng, levels, keep):
+    """Roughly concave half-widths with noise and a random usable mask."""
+    u = np.linspace(0.0, 1.0, levels.size)
+    half = 2.0 - u - 0.5 * u**2 + 0.02 * rng.standard_normal(levels.size)
+    p = profile_from_halfwidth(levels, half)
+    return p.with_valid(rng.random(levels.size) < keep)
+
+
+@pytest.mark.parametrize("lam", CHECK_LAMBDAS)
+@pytest.mark.parametrize("sigma", [0.0, 1e-3])
+def test_three_point_matches_row_loop(lam, sigma):
+    rng = np.random.default_rng(int(1000 * lam) + int(1e4 * sigma))
+    lv = geometric_levels(300)
+    pa, pb, pc = (noisy_profile(rng, lv, keep) for keep in (0.8, 0.85, 0.9))
+    assert pa.usable().sum() * pb.usable().sum() > 3 * _CHUNK_PAIRS
+    rep = three_point_check(pa, pb, pc, lam, sigma=sigma)
+    ref = loop_three_point(pa, pb, pc, lam, sigma)
+    assert ref[0] > 0
+    assert_report_matches(rep, ref)
+
+
+@pytest.mark.parametrize("lam", CHECK_LAMBDAS)
+@pytest.mark.parametrize("sigma", [0.0, 1e-3])
+def test_four_point_matches_row_loop(lam, sigma):
+    rng = np.random.default_rng(int(1000 * lam) + int(1e4 * sigma) + 1)
+    n = 450
+    T = np.linspace(-3.0, 0.0, n)
+    psi = -(T**2) + 0.01 * rng.standard_normal(n)
+    valid = rng.random(n) < 0.8
+    nv = int(valid.sum())
+    assert nv * (nv + 1) // 2 > 3 * _CHUNK_PAIRS
+    rep = four_point_check(T, psi, lam, sigma=sigma, valid=valid)
+    ref = loop_four_point(T, psi, lam, sigma, valid)
+    assert ref[0] > 0
+    assert_report_matches(rep, ref)
+
+
+def test_checks_with_too_few_usable_points():
+    lv = geometric_levels(8)
+    p = profile_from_halfwidth(lv, np.ones(8))
+    none = p.with_valid(np.zeros(8, dtype=bool))
+    rep = three_point_check(none, p, p, 0.3)
+    assert (rep.count, rep.checked, rep.max_excess, rep.worst) == (0, 0, 0.0, None)
+    T = np.linspace(0.0, 1.0, 8)
+    rep = four_point_check(T, T**2, 0.3, valid=np.zeros(8, dtype=bool))
+    assert (rep.count, rep.checked, rep.max_excess, rep.worst) == (0, 0, 0.0, None)
+    one = np.zeros(8, dtype=bool)
+    one[3] = True
+    rep = four_point_check(T, T**2, 0.3, valid=one)
+    assert (rep.count, rep.checked) == (0, 1)
+
+
+def test_four_point_worst_is_first_of_tied_maxima():
+    # One dip at d: in every row i < d - 10 the pairs (i, (3d - i)/2) and
+    # (i, 3d - 2i) snap one target exactly onto it with excess 1, so the
+    # maximum is tied across rows spread over several chunks.
+    # Points near d are invalid, so no pair sends both targets to the dip.
+    n, d = 600, 150
+    T = np.linspace(0.0, 1.0, n)
+    psi = np.zeros(n)
+    psi[d] = -1.0
+    valid = np.abs(np.arange(n) - d) > 10
+    valid[d] = True
+    rep = four_point_check(T, psi, 0.5, sigma=0.0, valid=valid)
+    assert rep.max_excess == 1.0
+    assert rep.worst == (T[0], T[3 * d // 2], T[d // 2], T[d])
+    assert_report_matches(rep, loop_four_point(T, psi, 0.5, 0.0, valid))

@@ -20,7 +20,7 @@ from plstab import (
     write_profile_csv,
 )
 from plstab.profiles import LevelProfile, level_grid
-from plstab.synth import gaussian, indicator
+from plstab.synth import gaussian, indicator, random_grid_function
 
 STEP = 1e-3
 
@@ -111,6 +111,71 @@ def test_profile_width_matches_superlevel_measure():
         assert width - p.hull_deficit[0] == pytest.approx(
             f.superlevel_measure(t), rel=1e-12, abs=1e-12
         )
+
+
+def loop_extract_profile(f, levels):
+    """The per-level loop of extract_profile, kept as the reference."""
+    levels = np.asarray(levels, dtype=float)
+    n = levels.size
+    left = np.full(n, np.nan)
+    right = np.full(n, np.nan)
+    deficit = np.full(n, np.nan)
+    vals = f.values
+    counts = vals.size - np.searchsorted(np.sort(vals), levels, side="right")
+    for k, t in enumerate(levels):
+        if counts[k] == 0:
+            continue
+        idx = np.flatnonzero(vals > t)
+        lo = f.origin + idx[0] * f.step
+        hi = f.origin + (idx[-1] + 1) * f.step
+        left[k] = lo
+        right[k] = hi
+        deficit[k] = (hi - lo) - counts[k] * f.step
+    return left, right, ~np.isnan(left), deficit
+
+
+def plateau_values():
+    return np.array([0.0, 1.0, 1.0, 2.0, 2.0, 2.0, 0.5, 0.0, 3.0, 3.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "values, levels",
+    [
+        # plateaus, with levels exactly at cell values (the set is strict >)
+        (plateau_values(), np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])),
+        (plateau_values(), np.geomspace(0.01, 3.0, 64)),
+        # all-zero function: every level is empty
+        (np.zeros(50), np.geomspace(1e-6, 1.0, 16)),
+        # single cell, levels below, at and above its value
+        (np.array([0.7]), np.array([0.1, 0.7, 0.9])),
+        (np.array([0.0]), np.array([0.1, 0.7])),
+        # support touching both ends of the window
+        (np.array([2.0, 0.0, 0.0, 1.0, 2.0]), np.array([0.5, 1.0, 1.5, 2.0])),
+    ],
+)
+def test_extract_profile_matches_level_loop(values, levels):
+    f = grid_function(-0.37, 0.01, values)
+    p = extract_profile(f, levels)
+    left, right, valid, deficit = loop_extract_profile(f, levels)
+    assert p.left.tobytes() == left.tobytes()
+    assert p.right.tobytes() == right.tobytes()
+    assert p.hull_deficit.tobytes() == deficit.tobytes()
+    assert p.valid.dtype == bool and np.array_equal(p.valid, valid)
+
+
+def test_extract_profile_matches_level_loop_on_random_functions():
+    rng = np.random.default_rng(31)
+    for seed in range(10):
+        f = random_grid_function(rng, step=4e-3, window=(-2.0, 2.0), zero_fraction=0.3)
+        levels = level_grid(1e-4, f.sup_norm() * 1.1, 256)
+        # also probe every 37th cell value exactly
+        levels = np.unique(np.concatenate([levels, f.values[f.values > 0][::37]]))
+        p = extract_profile(f, levels)
+        left, right, valid, deficit = loop_extract_profile(f, levels)
+        assert p.left.tobytes() == left.tobytes(), seed
+        assert p.right.tobytes() == right.tobytes(), seed
+        assert p.hull_deficit.tobytes() == deficit.tobytes(), seed
+        assert np.array_equal(p.valid, valid), seed
 
 
 # -- good_levels ---------------------------------------------------------------------
