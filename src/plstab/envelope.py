@@ -22,6 +22,14 @@ slack proportional to the actual snap distance times the local Lipschitz
 constant (max adjacent difference), so exactly concave data never
 produces false violations at sigma = 0, and points that need no snapping
 get no slack at all.
+
+Snapping follows the package's one tie rule, round half up on an integer
+numerator: when ``lam == p/q`` (``plcore._rational``) each interpolated
+index is an exact fraction ``m / d`` and goes to ``(2m + d) // (2d)``,
+with snap distance ``|m - d*k| / d`` from the same integers.  Other lam
+fall back to ``floor(u + 0.5)`` on the float index.  Both checks evaluate
+all index pairs in row chunks of about ``_CHUNK_PAIRS`` pairs, and their
+``worst`` tuple is the first worst pair in row-major (i, j) order.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridfn import DomainError
+from .plcore import _rational
 from .profiles import LevelProfile
 
 __all__ = [
@@ -224,6 +233,12 @@ def _lipschitz(y: np.ndarray, valid: np.ndarray) -> float:
     return float(adj.max())
 
 
+def _snap_exact(num: np.ndarray, den: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest index to ``num / den`` (ties up) and the numerator of its distance."""
+    k = (2 * num + den) // (2 * den)
+    return k, np.abs(num - den * k)
+
+
 def _snap_float(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``floor(u + 0.5)`` clipped to the grid, and the distance to it."""
     k = np.clip(np.floor(u + 0.5).astype(np.int64), 0, n - 1)
@@ -273,7 +288,10 @@ def three_point_check(
     slack is the snap distance times the local Lipschitz constants of the
     half-width samples, so unsnapped grid points get none.
 
-    Snapping is ``floor(u + 0.5)`` on the float index.  ``worst`` is the
+    Snapping: for ``lam == p/q`` (``plcore._rational``) the level index
+    ``m / q`` with ``m = (q-p)*i + p*j`` goes to ``(2m + q) // (2q)``
+    (round half up, exact) and the snap distance is ``|m - q*k| / q``;
+    other lam use ``floor(u + 0.5)`` on the float index.  ``worst`` is the
     first worst pair in row-major (i, j) order.
     """
     levels = profile_a.levels
@@ -301,6 +319,7 @@ def three_point_check(
         float(np.nanmax(np.abs(wb[ub]))) if ub.any() else 0.0,
     )
     guard = 1e-12 * scale
+    pq = _rational(lam)
     count = 0
     checked = 0
     max_excess = 0.0
@@ -309,7 +328,12 @@ def three_point_check(
     j = np.flatnonzero(ub)[None, :]
     for r0, r1 in _row_chunks(np.full(rows.size, j.size)):
         i = rows[r0:r1, None]
-        k, snap = _snap_float((1.0 - lam) * i + lam * j, n)
+        if pq is None:
+            k, snap = _snap_float((1.0 - lam) * i + lam * j, n)
+        else:
+            p, q = pq
+            k, snap = _snap_exact((q - p) * i + p * j, q)
+            snap = snap / q
         ok = ua[k] & ub[k] & uc[k]
         slack = (la + lb) * snap
         lhs = (1.0 - lam) * wa[i] + lam * wb[j]
@@ -347,8 +371,12 @@ def four_point_check(
     the two combinations.  Violations are counted only when all four
     points are valid.
 
-    Snapping is ``floor(u + 0.5)`` on the float targets.  ``worst`` is the
-    first worst pair in row-major (i, j) order.
+    Snapping: for ``lam == p/q`` (``plcore._rational``) the targets are
+    ``(q*i + (q-p)*j) / D`` and ``((q-p)*i + q*j) / D`` with ``D = 2q - p``;
+    each numerator m goes to ``(2m + D) // (2D)`` (round half up, exact)
+    and the snap distance is ``(|m12 - D*k12| + |m21 - D*k21|) / D``.
+    Other lam use ``floor(u + 0.5)`` on the float targets.  ``worst`` is
+    the first worst pair in row-major (i, j) order.
 
     Raises:
         DomainError: If the grid is not uniform or exceeds ``max_points``.
@@ -372,6 +400,7 @@ def four_point_check(
     lip = _lipschitz(psi, valid)
     idx = np.flatnonzero(valid)
     guard = 1e-12 * (1.0 + float(np.max(np.abs(psi[idx]))) if idx.size else 1.0)
+    pq = _rational(lam)
     count = 0
     checked = 0
     max_excess = 0.0
@@ -385,9 +414,16 @@ def four_point_check(
         cc = rr + np.arange(rr.size) - np.repeat(np.cumsum(rl) - rl, rl)
         i = idx[rr]
         j = idx[cc]
-        k12, s12 = _snap_float((i + (1.0 - lam) * j) / denom, n)
-        k21, s21 = _snap_float(((1.0 - lam) * i + j) / denom, n)
-        snap = s12 + s21
+        if pq is None:
+            k12, s12 = _snap_float((i + (1.0 - lam) * j) / denom, n)
+            k21, s21 = _snap_float(((1.0 - lam) * i + j) / denom, n)
+            snap = s12 + s21
+        else:
+            p, q = pq
+            d = 2 * q - p
+            k12, s12 = _snap_exact(q * i + (q - p) * j, d)
+            k21, s21 = _snap_exact((q - p) * i + q * j, d)
+            snap = (s12 + s21) / d
         ok = valid[k12] & valid[k21]
         slack = lip * snap
         excess = psi[i] + psi[j] - psi[k12] - psi[k21] - sigma - slack

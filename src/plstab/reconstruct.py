@@ -35,6 +35,7 @@ from .gridfn import DomainError, GridFunction, _l1_shifts, l1_distance
 from .plcore import (
     DeficitReport,
     PLTriple,
+    _rational,
     deficit,
     quadrature_tol,
     sup_convolution,
@@ -543,6 +544,21 @@ def _fit_envelopes(
     return env, usable
 
 
+def _g_cell_shift(s: np.ndarray, lam: float, step_h: float) -> np.ndarray:
+    """Whole-cell shift of the g term for witness cell shifts ``s``.
+
+    The g term moves by ``(lam - 1) * w`` with ``w = s * step_h / lam``,
+    that is by ``-(q - p) * s / p`` cells when ``lam == p/q``
+    (``plcore._rational``); that fraction is rounded half up on its
+    integer numerator.  Other lam round the float value with ``np.round``.
+    """
+    pq = _rational(lam)
+    if pq is None:
+        return np.round(((lam - 1.0) * (s * step_h / lam)) / step_h)
+    p, q = pq
+    return (2 * (p - q) * s + p) // (2 * p)
+
+
 def stability_decompose(
     triple: PLTriple, config: PipelineConfig | None = None
 ) -> tuple[StabilityReport, GridFunction, GridFunction, GridFunction]:
@@ -693,10 +709,8 @@ def stability_decompose(
     stride = max(1, (s_max - s_min + 1) // 512)
 
     def pair_err(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # The g term moves by (lam - 1) * w, snapped to whole cells.
-        s_g = np.round(((lam - 1.0) * (s * step_h / lam)) / step_h)
         ef = _l1_shifts(fn, htn, s) / int_h
-        eg = _l1_shifts(gn, htn, s_g) / int_h
+        eg = _l1_shifts(gn, htn, _g_cell_shift(s, lam, step_h)) / int_h
         return ef, eg
 
     best_s, _ = _coarse_to_fine(lambda s: np.add(*pair_err(s)), s_min, s_max, stride)

@@ -13,6 +13,7 @@ from plstab import (
     three_point_check,
 )
 from plstab.envelope import _CHUNK_PAIRS, _lipschitz
+from plstab.plcore import _rational
 from plstab.profiles import LevelProfile
 
 
@@ -304,7 +305,11 @@ def loop_snap(u, n):
 
 
 def loop_three_point(profile_a, profile_b, profile_c, lam, sigma):
-    """The per-row loop of three_point_check, kept as the reference."""
+    """The per-row loop of three_point_check, kept as the reference.
+
+    Targets snap by the package's tie rule: half up on the integer
+    numerator when lam = p/q, ``floor(u + 0.5)`` otherwise.
+    """
     levels = profile_a.levels
     n = levels.size
     wa = 0.5 * (profile_a.right - profile_a.left)
@@ -320,18 +325,26 @@ def loop_three_point(profile_a, profile_b, profile_c, lam, sigma):
     count = checked = 0
     max_excess = 0.0
     worst = None
-    jj = np.arange(n, dtype=float)
+    pq = _rational(lam)
+    jj = np.arange(n)
     for i in range(n):
         if not ua[i]:
             continue
-        u = (1.0 - lam) * i + lam * jj
-        k = loop_snap(u, n)
+        if pq is None:
+            u = (1.0 - lam) * i + lam * jj
+            k = loop_snap(u, n)
+            dist = np.abs(u - k)
+        else:
+            p, q = pq
+            m = (q - p) * i + p * jj
+            k = (2 * m + q) // (2 * q)
+            dist = np.abs(m - q * k) / q
         ok = ub & ua[k] & ub[k] & uc[k]
         if not ok.any():
             continue
         j = np.flatnonzero(ok)
         kk = k[j]
-        slack = (la + lb) * np.abs(u[j] - kk)
+        slack = (la + lb) * dist[j]
         lhs = (1.0 - lam) * wa[i] + lam * wb[j]
         rhs = (1.0 - lam) * wa[kk] + lam * wb[kk]
         excess = lhs - rhs - sigma - slack
@@ -348,7 +361,10 @@ def loop_three_point(profile_a, profile_b, profile_c, lam, sigma):
 
 
 def loop_four_point(T, psi, lam, sigma, valid):
-    """The per-row loop of four_point_check, kept as the reference."""
+    """The per-row loop of four_point_check, kept as the reference.
+
+    Targets snap as in ``loop_three_point``.
+    """
     n = T.size
     valid = valid & np.isfinite(psi)
     lip = _lipschitz(psi, valid)
@@ -357,18 +373,29 @@ def loop_four_point(T, psi, lam, sigma, valid):
     count = checked = 0
     max_excess = 0.0
     worst = None
+    pq = _rational(lam)
     denom = 2.0 - lam
     for pos, i in enumerate(idx):
         j = idx[pos:]
-        u12 = (i + (1.0 - lam) * j) / denom
-        u21 = ((1.0 - lam) * i + j) / denom
-        k12 = loop_snap(u12, n)
-        k21 = loop_snap(u21, n)
+        if pq is None:
+            u12 = (i + (1.0 - lam) * j) / denom
+            u21 = ((1.0 - lam) * i + j) / denom
+            k12 = loop_snap(u12, n)
+            k21 = loop_snap(u21, n)
+            dist = np.abs(u12 - k12) + np.abs(u21 - k21)
+        else:
+            p, q = pq
+            d = 2 * q - p
+            m12 = q * i + (q - p) * j
+            m21 = (q - p) * i + q * j
+            k12 = (2 * m12 + d) // (2 * d)
+            k21 = (2 * m21 + d) // (2 * d)
+            dist = (np.abs(m12 - d * k12) + np.abs(m21 - d * k21)) / d
         ok = valid[k12] & valid[k21]
         if not ok.any():
             continue
         j, k12, k21 = j[ok], k12[ok], k21[ok]
-        snap = np.abs(u12[ok] - k12) + np.abs(u21[ok] - k21)
+        snap = dist[ok]
         excess = psi[i] + psi[j] - psi[k12] - psi[k21] - sigma - lip * snap
         checked += j.size
         bad = excess > guard
@@ -459,3 +486,41 @@ def test_four_point_worst_is_first_of_tied_maxima():
     assert rep.max_excess == 1.0
     assert rep.worst == (T[0], T[3 * d // 2], T[d // 2], T[d])
     assert_report_matches(rep, loop_four_point(T, psi, 0.5, 0.0, valid))
+
+
+def test_three_point_exact_tie_rounds_half_up():
+    # lam = 3/10, (i, j) = (6, 1): the target 0.7*6 + 0.3*1 is exactly 4.5,
+    # which the float rule computes as 4.499999999999999 and sends to 4.
+    # Half up on the numerator 7*6 + 3*1 = 45 sends it to 5.
+    assert np.floor((1.0 - 0.3) * 6 + 0.3 * 1 + 0.5) == 4.0
+    lv = geometric_levels(7)
+    left = np.zeros(7)
+    a = profile_from_halfwidth(lv, np.ones(7)).with_valid(np.isin(np.arange(7), [5, 6]))
+    right_b = np.ones(7)
+    right_b[1] = 3.0
+    b = LevelProfile(lv, left, right_b, np.isin(np.arange(7), [1, 5]), np.zeros(7), True)
+    c = profile_from_halfwidth(lv, np.ones(7)).with_valid(np.arange(7) == 5)
+    rep = three_point_check(a, b, c, 0.3)
+    # Pairs (5, 5) and (6, 1) land on level 5; the float rule would send
+    # (6, 1) to the unusable level 4 and check one pair with no violation.
+    # Half-widths: a = 1, b = 1.5 at level 1 and 0.5 at level 5, so
+    # lb = 1/4, snap 1/2, excess 0.3 * 1.0 - 0.125 = 0.175.
+    assert (rep.count, rep.checked) == (1, 2)
+    assert rep.worst == (lv[6], lv[1], lv[5])
+    assert rep.max_excess == pytest.approx(0.175, rel=1e-12)
+    assert_report_matches(rep, loop_three_point(a, b, c, 0.3, 0.0))
+
+
+def test_four_point_exact_tie_rounds_half_up():
+    # lam = 2/5, (i, j) = (0, 4): T_{1,2} sits at index 12/8 = 1.5 exactly,
+    # which the float rule computes as 1.4999999999999998 and sends to the
+    # invalid point 1.  Half up on the numerator sends it to 2.
+    assert np.floor((0 + (1.0 - 0.4) * 4) / (2.0 - 0.4) + 0.5) == 1.0
+    T = np.linspace(0.0, 1.0, 5)
+    psi = np.array([2.0, 0.0, 0.0, 0.0, 2.0])
+    valid = np.array([True, False, True, True, True])
+    rep = four_point_check(T, psi, 0.4, valid=valid)
+    # Lipschitz constant 2, snap distance 4/8 + 4/8: excess 4 - 2 = 2.
+    assert rep.worst == (T[0], T[4], T[2], T[3])
+    assert rep.max_excess == 2.0
+    assert_report_matches(rep, loop_four_point(T, psi, 0.4, 0.0, valid))
