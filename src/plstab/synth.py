@@ -27,7 +27,6 @@ __all__ = [
     "random_log_concave",
     "random_grid_function",
     "perturbed_pair",
-    "spearman",
 ]
 
 
@@ -215,16 +214,3 @@ def perturbed_pair(
         g = f
     return f, g
 
-
-def spearman(x: np.ndarray, y: np.ndarray) -> float:
-    """Spearman rank correlation of two samples."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    rx = np.argsort(np.argsort(x)).astype(float)
-    ry = np.argsort(np.argsort(y)).astype(float)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    denom = math.sqrt(float((rx**2).sum() * (ry**2).sum()))
-    if denom == 0:
-        return 0.0
-    return float((rx * ry).sum() / denom)
