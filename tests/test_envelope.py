@@ -524,3 +524,20 @@ def test_four_point_exact_tie_rounds_half_up():
     assert rep.worst == (T[0], T[4], T[2], T[3])
     assert rep.max_excess == 2.0
     assert_report_matches(rep, loop_four_point(T, psi, 0.4, 0.0, valid))
+
+
+def test_row_chunks_cover_rows_in_bounded_chunks():
+    from plstab.envelope import _row_chunks
+
+    for lengths in (
+        np.full(300, 300),
+        500 - np.arange(500),
+        np.array([3 * _CHUNK_PAIRS, 1, 1, 2 * _CHUNK_PAIRS]),
+    ):
+        chunks = list(_row_chunks(lengths))
+        assert chunks[0][0] == 0 and chunks[-1][1] == lengths.size
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        for r0, r1 in chunks:
+            assert r1 == r0 + 1 or lengths[r0:r1].sum() <= _CHUNK_PAIRS
+    assert list(_row_chunks(np.zeros(4, dtype=int))) == []
+    assert list(_row_chunks(np.zeros(0, dtype=int))) == []

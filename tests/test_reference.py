@@ -18,7 +18,8 @@ EXACT_FLOATS = {"w"}
 def _mismatches(ref, new, path="") -> list[str]:
     if isinstance(ref, dict):
         if not isinstance(new, dict) or set(ref) != set(new):
-            return [f"{path}: keys {sorted(ref)} != {sorted(new) if isinstance(new, dict) else new}"]
+            got = sorted(new) if isinstance(new, dict) else new
+            return [f"{path}: keys {sorted(ref)} != {got}"]
         out = []
         for key in ref:
             out += _mismatches(ref[key], new[key], f"{path}.{key}")
