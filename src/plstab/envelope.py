@@ -59,6 +59,10 @@ __all__ = [
 # pipeline job at N = 4 000 rose by 1.4 MB, at 2**13 it did not move.
 _CHUNK_PAIRS = 1 << 13
 
+# Largest grid ``four_point_check`` accepts: it evaluates about n**2 / 2
+# pairs, and the pipeline calls it on level grids of ``--levels`` points.
+_MAX_POINTS = 4096
+
 
 @dataclass(frozen=True)
 class EnvelopePair:
@@ -361,7 +365,6 @@ def four_point_check(
     lam: float,
     sigma: float = 0.0,
     valid: np.ndarray | None = None,
-    max_points: int = 4096,
 ) -> ViolationReport:
     """Conjugate-pair interpolation check of a sampled function.
 
@@ -385,15 +388,16 @@ def four_point_check(
     the first worst pair in row-major (i, j) order.
 
     Raises:
-        DomainError: If the grid is not uniform or exceeds ``max_points``.
+        DomainError: If the grid is not uniform or has more than 4096
+            points.
     """
     T = np.asarray(T, dtype=float)
     psi = np.asarray(psi, dtype=float)
     if T.size != psi.size:
         raise DomainError("T and psi must have equal length")
     n = T.size
-    if n > max_points:
-        raise DomainError(f"four_point_check limited to {max_points} points, got {n}")
+    if n > _MAX_POINTS:
+        raise DomainError(f"four_point_check limited to {_MAX_POINTS} points, got {n}")
     if n < 2:
         raise DomainError("need at least two points")
     dT = np.diff(T)

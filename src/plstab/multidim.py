@@ -34,6 +34,7 @@ import numpy as np
 
 from .gridfn import DomainError, FormatError, GridFunction
 from .plcore import DeficitReport, PLTriple, _deficit_report, _snap, deficit
+from .profiles import _superlevel_counts
 
 __all__ = [
     "GridFunction2D",
@@ -171,21 +172,17 @@ class DistributionProfile:
 def distribution(f: GridFunction2D, levels: np.ndarray) -> DistributionProfile:
     """Exact superlevel areas of a 2D function at the given levels."""
     levels = np.asarray(levels, dtype=float)
-    flat = np.sort(f.values.ravel())
-    counts = flat.size - np.searchsorted(flat, levels, side="right")
+    counts = _superlevel_counts(f.values, levels)
     return DistributionProfile(levels, counts * f.cell_area)
 
 
-def multiplicative_to_additive(
-    profile: DistributionProfile,
-    step: float | None = None,
-    pad: float = 12.0,
-) -> GridFunction:
+def multiplicative_to_additive(profile: DistributionProfile) -> GridFunction:
     """Change of variables turning a distribution profile into a density.
 
-    Returns the grid function ``x -> F(e**x) * e**x`` on a window
-    ``[log t_min - pad, log t_max]``.  The left pad captures the mass of
-    the constant tail ``F(t_min) * t_min`` (relative error e**-pad), so
+    Returns the grid function ``x -> F(e**x) * e**x`` on 4096 cells of the
+    window ``[log t_min - 12, log t_max]``.  The left pad of 12 captures
+    the mass of the constant tail ``F(t_min) * t_min`` (relative error
+    e**-12), so
 
         integral of the result = integral of F over (0, infinity)
 
@@ -198,10 +195,9 @@ def multiplicative_to_additive(
         raise DomainError("need at least two levels")
     if lv[0] <= 0:
         raise DomainError("levels must be positive")
-    x_lo = math.log(lv[0]) - pad
+    x_lo = math.log(lv[0]) - 12.0
     x_hi = math.log(lv[-1])
-    if step is None:
-        step = (x_hi - x_lo) / 4096.0
+    step = (x_hi - x_lo) / 4096.0
     n = int(np.ceil((x_hi - x_lo) / step - 1e-9))
     centers = x_lo + step * (np.arange(n) + 0.5)
     t = np.exp(centers)
@@ -284,15 +280,20 @@ def deficit_2d(triple: Triple2D) -> DeficitReport:
 class ReducedDeficitReport:
     """Outcome of the 2D -> 1D reduction.
 
+    The three violation counts are taken over seeded random samples of
+    ``n_samples`` draws each, so a count of 0 certifies only the sample.
+    (The 1D check ``PLTriple.condition_satisfied`` checks every pair.)
+
     Attributes:
         deficit_2d: Deficit report of the original 2D triple.
         deficit_reduced: Deficit report of the reduced additive 1D triple.
-        condition_2d_violations: Sampled violations of the pointwise 2D
-            condition (count).
-        multiplicative_violations: Sampled violations of the induced
-            multiplicative level condition (count).
-        brunn_minkowski_violations: Sampled violations of the stronger
-            Brunn-Minkowski form (count).
+        condition_2d_violations: Violations of the pointwise 2D condition
+            among sampled pairs of positive cells (count).
+        multiplicative_violations: Violations of the induced
+            multiplicative level condition among sampled level pairs
+            (count).
+        brunn_minkowski_violations: Violations of the stronger
+            Brunn-Minkowski form among the same level pairs (count).
         mass_error: Max relative gap between 2D integrals and the reduced
             1D integrals (discretization of the layer-cake formula).
     """
@@ -363,7 +364,6 @@ def reduced_deficit(
     level_count: int = 512,
     n_samples: int = 4000,
     seed: int = 0,
-    x_step: float | None = None,
 ) -> ReducedDeficitReport:
     """Reduce a 2D triple to an additive 1D triple and report both deficits.
 
@@ -404,9 +404,9 @@ def reduced_deficit(
     bm_viol = int(np.sum(Ht_slack < bm_rhs * (1 - 1e-9)))
     cond_viol = _sample_condition_2d(triple, n_samples, seed)
 
-    f1 = multiplicative_to_additive(F, step=x_step)
-    g1 = multiplicative_to_additive(G, step=x_step)
-    h1 = multiplicative_to_additive(H, step=x_step)
+    f1 = multiplicative_to_additive(F)
+    g1 = multiplicative_to_additive(G)
+    h1 = multiplicative_to_additive(H)
     # The three reduced functions share origin and step by construction.
     t1 = PLTriple(f1, g1, h1, lam)
     d1 = deficit(t1)

@@ -51,9 +51,9 @@ __all__ = [
     "AmGmReport",
 ]
 
-# Exhaustive pair enumeration is used below this many (positive-row) pairs;
-# larger instances fall back to seeded random sampling in condition checks.
-_EXHAUSTIVE_PAIR_LIMIT = 8_000_000
+# Relative slack on the right-hand side of condition (*) in
+# ``PLTriple.condition_satisfied``.
+_CONDITION_REL_TOL = 1e-12
 
 # Snap settles rounding ties exactly when lam = p/q with q at most this.
 _MAX_LATTICE_DENOMINATOR = 64
@@ -75,16 +75,15 @@ def quadrature_tol(f: GridFunction, g: GridFunction) -> float:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Result of sampling the pointwise inequality (*) over cell pairs.
+    """Result of checking the pointwise inequality (*) on every cell pair.
 
     Attributes:
-        satisfied: True when no sampled pair violates (*) beyond tolerance.
-        checked: Number of sampled pairs with positive right-hand side.
+        satisfied: True when no pair violates (*) beyond tolerance.
+        checked: Number of pairs checked: every pair of positive cells.
         violations: Number of violating pairs.
         max_violation: Largest relative shortfall ``rhs/lhs - 1`` observed
             (0.0 when none).
         worst_pair: Cell centers ``(x, y)`` of the worst violation, or None.
-        exhaustive: True when every pair of positive cells was checked.
     """
 
     satisfied: bool
@@ -92,7 +91,6 @@ class ConditionReport:
     violations: int
     max_violation: float
     worst_pair: tuple[float, float] | None
-    exhaustive: bool
 
 
 @dataclass(frozen=True)
@@ -117,42 +115,32 @@ class PLTriple:
         """Symmetric interpolation margin min(lam, 1-lam)."""
         return float(min(self.lam, 1.0 - self.lam))
 
-    def condition_satisfied(
-        self,
-        rel_tol: float = 1e-12,
-        max_pairs: int = _EXHAUSTIVE_PAIR_LIMIT,
-        seed: int = 0,
-    ) -> ConditionReport:
-        """Check condition (*) on sampled cell pairs with one cell of slack.
+    def condition_satisfied(self) -> ConditionReport:
+        """Check condition (*) on every pair of positive cells, with one cell of slack.
 
         For each pair of cells (i, j) with ``f_i > 0`` and ``g_j > 0`` the
         combination ``z = (1-lam)*x_i + lam*y_j`` of the cell centers is
         located in h's grid, and the pair passes when
 
             max(h over the target cell and its two neighbors)
-                >= (f_i**(1-lam) * g_j**lam) * (1 - rel_tol).
+                >= (f_i**(1-lam) * g_j**lam) * (1 - 1e-12).
 
         The one-cell slack on the target absorbs the snapping of z to h's
         grid: for a locally monotone h one of the three candidate cells
         always sits uphill of z, so snapping alone can never produce a
-        false violation.
-
-        Pairs are enumerated exhaustively when there are at most
-        ``max_pairs`` of them, otherwise a seeded random sample of
-        ``max_pairs`` pairs is drawn.
+        false violation.  No pair is skipped: ``checked`` is the number
+        of positive f cells times the number of positive g cells.
         """
         lam = self.lam
         f, g, h = self.f, self.g, self.h
         flo, fhi = f.support_indices()
         glo, ghi = g.support_indices()
         if flo == fhi or glo == ghi:
-            return ConditionReport(True, 0, 0, 0.0, None, True)
+            return ConditionReport(True, 0, 0, 0.0, None)
         fi = np.arange(flo, fhi)
         gj = np.arange(glo, ghi)
         fi = fi[f.values[fi] > 0]
         gj = gj[g.values[gj] > 0]
-        n_pairs = fi.size * gj.size
-        exhaustive = n_pairs <= max_pairs
         # h with one-cell slack: running max of each cell and its neighbors.
         hv = h.values
         hmax = hv.copy()
@@ -162,48 +150,32 @@ class PLTriple:
         fpow = f.values[fi] ** (1.0 - lam)
         gy = g.origin + g.step * (gj + 0.5)
         gpow = g.values[gj] ** lam
+        lam_gy = lam * gy
 
-        checked = 0
         violations = 0
         max_violation = 0.0
         worst: tuple[float, float] | None = None
-
-        def scan(rows: np.ndarray, cols_of) -> None:
-            nonlocal checked, violations, max_violation, worst
-            for a in rows:
-                cols = cols_of(a)
-                z = (1.0 - lam) * fx[a] + lam * gy[cols]
-                k = np.floor((z - h.origin) / h.step).astype(np.int64)
-                k = np.clip(k, 0, h.size - 1)
-                lhs = hmax[k]
-                rhs = fpow[a] * gpow[cols]
-                checked += cols.size
-                bad = lhs < rhs * (1.0 - rel_tol)
-                nbad = int(bad.sum())
-                if nbad:
-                    violations += nbad
-                    shortfall = rhs[bad] / np.maximum(lhs[bad], 1e-300) - 1.0
-                    w = int(np.argmax(shortfall))
-                    if shortfall[w] > max_violation:
-                        max_violation = float(shortfall[w])
-                        worst = (float(fx[a]), float(gy[cols[bad][w]]))
-
-        if exhaustive:
-            scan(np.arange(fi.size), lambda a: np.arange(gj.size))
-        else:
-            rng = np.random.default_rng(seed)
-            per_row = max(1, max_pairs // max(fi.size, 1))
-            scan(
-                np.arange(fi.size),
-                lambda a: rng.integers(0, gj.size, size=per_row),
-            )
+        # One row of pairs at a time keeps every temporary at the size of g.
+        for x, fp in zip(fx.tolist(), fpow.tolist()):
+            z = (1.0 - lam) * x + lam_gy
+            k = np.floor((z - h.origin) / h.step).astype(np.int64)
+            lhs = hmax[np.clip(k, 0, h.size - 1)]
+            rhs = fp * gpow
+            bad = lhs < rhs * (1.0 - _CONDITION_REL_TOL)
+            nbad = int(np.count_nonzero(bad))
+            if nbad:
+                violations += nbad
+                shortfall = rhs[bad] / np.maximum(lhs[bad], 1e-300) - 1.0
+                w = int(np.argmax(shortfall))
+                if shortfall[w] > max_violation:
+                    max_violation = float(shortfall[w])
+                    worst = (x, float(gy[bad][w]))
         return ConditionReport(
             satisfied=violations == 0,
-            checked=checked,
+            checked=fi.size * gj.size,
             violations=violations,
             max_violation=max_violation,
             worst_pair=worst,
-            exhaustive=exhaustive,
         )
 
 

@@ -51,6 +51,12 @@ def level_grid(floor: float, top: float, count: int = 512) -> np.ndarray:
     return np.geomspace(floor, top, count)
 
 
+def _superlevel_counts(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Number of entries of ``values`` (any shape) strictly above each level."""
+    ranked = np.sort(values, axis=None)
+    return values.size - np.searchsorted(ranked, levels, side="right")
+
+
 @dataclass(frozen=True)
 class LevelProfile:
     """Superlevel interval data of one function over a grid of levels.
@@ -113,9 +119,7 @@ def extract_profile(f: GridFunction, levels: np.ndarray) -> LevelProfile:
     """
     levels = np.asarray(levels, dtype=float)
     vals = f.values
-    # Sorted copy gives the superlevel *measure* per level in one shot.
-    sorted_vals = np.sort(vals)
-    counts = vals.size - np.searchsorted(sorted_vals, levels, side="right")
+    counts = _superlevel_counts(vals, levels)
     first = np.searchsorted(np.maximum.accumulate(vals), levels, side="right")
     last = vals.size - 1 - np.searchsorted(
         np.maximum.accumulate(vals[::-1]), levels, side="right"
@@ -179,15 +183,10 @@ def good_levels(
         rep = _deficit(triple)
         threshold = default_good_threshold(triple.tau, rep.epsilon, rep.int_h)
     lam = triple.lam
-
-    def measures(f: GridFunction) -> np.ndarray:
-        sorted_vals = np.sort(f.values)
-        counts = f.values.size - np.searchsorted(sorted_vals, levels, side="right")
-        return counts * f.step
-
-    mf = measures(triple.f)
-    mg = measures(triple.g)
-    mh = measures(triple.h)
+    mf, mg, mh = (
+        _superlevel_counts(fn.values, levels) * fn.step
+        for fn in (triple.f, triple.g, triple.h)
+    )
     excess = np.abs(mh - (1.0 - lam) * mf - lam * mg)
     mask = excess <= threshold
     # Width of each level cell on the level axis (for the bad-mass figure).
@@ -226,27 +225,16 @@ def regularize(profile: LevelProfile) -> LevelProfile:
     usable = profile.usable()
     if not usable.any():
         raise DomainError("regularize requires at least one valid nonempty level")
-    n = profile.levels.size
-    left = np.full(n, np.nan)
-    right = np.full(n, np.nan)
-    run_left = np.inf
-    run_right = -np.inf
-    assigned = np.zeros(n, dtype=bool)
-    for k in range(n - 1, -1, -1):
-        if usable[k]:
-            run_left = min(run_left, profile.left[k])
-            run_right = max(run_right, profile.right[k])
-        if np.isfinite(run_left):
-            left[k] = run_left
-            right[k] = run_right
-            assigned[k] = True
-    deficit = np.where(assigned, 0.0, np.nan)
+    # Running extrema from the top level down, over usable levels only.
+    run_left = np.minimum.accumulate(np.where(usable, profile.left, np.inf)[::-1])[::-1]
+    run_right = np.maximum.accumulate(np.where(usable, profile.right, -np.inf)[::-1])[::-1]
+    assigned = np.isfinite(run_left)
     return LevelProfile(
         levels=profile.levels,
-        left=left,
-        right=right,
+        left=np.where(assigned, run_left, np.nan),
+        right=np.where(assigned, run_right, np.nan),
         valid=assigned,
-        hull_deficit=deficit,
+        hull_deficit=np.where(assigned, 0.0, np.nan),
         regularized=True,
     )
 

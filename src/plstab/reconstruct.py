@@ -305,7 +305,6 @@ def from_envelopes(
     env: EnvelopePair,
     floor_level: float | None = None,
     step: float | None = None,
-    window: tuple[float, float] | None = None,
 ) -> GridFunction:
     """Rebuild the log-concave function with the given boundary envelopes.
 
@@ -318,7 +317,8 @@ def from_envelopes(
     piecewise-linear inversions evaluated continuously (no quantization to
     the level grid), and each branch is concave in x, so their pointwise
     minimum is exactly concave and ``exp(l)`` passes the discrete
-    log-concavity test essentially to machine precision.
+    log-concavity test essentially to machine precision.  The output
+    window is the support at the lowest envelope level ``T_lo``.
 
     Args:
         env: Monotonized envelopes (lower nondecreasing, upper
@@ -326,7 +326,6 @@ def from_envelopes(
         floor_level: Truncation level; defaults to ``exp(T_lo)``.  Cells
             whose rebuilt value falls below it are set to 0.
         step: Output cell width; defaults to (support width)/4096.
-        window: Output window; defaults to the support at the floor.
 
     Raises:
         DomainError: If the envelopes cross or are not monotone.
@@ -354,8 +353,6 @@ def from_envelopes(
     T_floor = math.log(floor_level)
     lo = float(a[0])
     hi = float(b[0])
-    if window is not None:
-        lo, hi = float(window[0]), float(window[1])
     if step is None:
         step = (hi - lo) / 4096.0 if hi > lo else 1.0
     n = max(1, int(np.ceil((hi - lo) / step - 1e-9)))
@@ -410,15 +407,14 @@ def align(
     h_tilde: GridFunction,
     lam: float,
     a: float,
-    coarse_stride: int | None = None,
 ) -> AlignResult:
     """Minimize ``L1(a**lam * f, h_tilde(. - lam*w))`` over translations w.
 
-    The scan runs over whole-cell shifts of the witness: a coarse pass at
-    ``coarse_stride`` cells followed by an exhaustive pass inside the best
-    coarse bracket (``_coarse_to_fine``).  Every shift is evaluated by the
-    exact L1 kernel ``gridfn._l1_shifts``, whose commensurate path
-    rounds at order eps times the mass.
+    The scan runs over whole-cell shifts of the witness: a coarse pass
+    over about 512 evenly strided shifts followed by an exhaustive pass
+    inside the best coarse bracket (``_coarse_to_fine``).  Every shift is
+    evaluated by the exact L1 kernel ``gridfn._l1_shifts``, whose
+    commensurate path rounds at order eps times the mass.
 
     Raises:
         DomainError: If ``a`` is not positive or lam is outside (0, 1).
@@ -434,11 +430,9 @@ def align(
     h_lo, h_hi = h_tilde.window
     s_min = int(np.floor((t_lo - h_hi) / step)) - 1
     s_max = int(np.ceil((t_hi - h_lo) / step)) + 1
-    n_shifts = s_max - s_min + 1
-    if coarse_stride is None:
-        coarse_stride = max(1, n_shifts // 512)
+    stride = max(1, (s_max - s_min + 1) // 512)
     s_best, err = _coarse_to_fine(
-        lambda s: _l1_shifts(target, h_tilde, s), s_min, s_max, coarse_stride
+        lambda s: _l1_shifts(target, h_tilde, s), s_min, s_max, stride
     )
     return AlignResult(w=s_best * step / lam, err=err)
 
@@ -448,22 +442,18 @@ def align(
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Tunable knobs of the stability pipeline.
+    """Settings of the stability pipeline.
+
+    The level floor is ``max(epsilon, 1e-6)`` times the smaller sup norm,
+    the good-level threshold is the theory default plus a grid allowance
+    of 8 steps, and the theorem constants use ``omega0 = 1``.
 
     Attributes:
         level_count: Size of the geometric level grid.
-        floor_level: Relative floor on levels; None selects
-            ``max(epsilon, 1e-6)`` times the smaller sup norm.
-        good_threshold: Absolute threshold for the good-level test; None
-            selects the theory default plus a grid allowance.
-        omega0: Free constant parameter.
         supconv_mode: Mode for canonical sup-convolutions in the pipeline.
     """
 
     level_count: int = 512
-    floor_level: float | None = None
-    good_threshold: float | None = None
-    omega0: float = 1.0
     supconv_mode: Literal["snap", "halfgrid", "auto"] = "snap"
 
 
@@ -577,8 +567,10 @@ def stability_decompose(
         to the recovered shift).
 
     Raises:
-        DomainError: If the deficit is negative beyond quadrature
-            tolerance or is not finite.
+        DomainError: If the quadrature tolerance ``quadrature_tol(f, g)``
+            is not below the geometric mean of the masses (too few cells
+            for the deficit to be checked), or if the deficit is negative
+            beyond that tolerance or is not finite.
     """
     if config is None:
         config = PipelineConfig()
@@ -588,12 +580,18 @@ def stability_decompose(
         raise DomainError("stability_decompose requires f and g on equal steps")
     rep = deficit(triple)
     qtol = quadrature_tol(triple.f, triple.g)
-    if not np.isfinite(rep.epsilon) or rep.epsilon < -qtol / max(rep.geo_mean, 1e-300):
+    if qtol >= rep.geo_mean:
+        # The gate below would then admit every epsilon >= -1.
+        raise DomainError(
+            f"quadrature tolerance {qtol} is not below the geometric mean "
+            f"of the masses {rep.geo_mean}: inputs too coarse for the deficit gate"
+        )
+    if not np.isfinite(rep.epsilon) or rep.epsilon < -qtol / rep.geo_mean:
         raise DomainError(
             f"deficit must be nonnegative up to quadrature tolerance, got {rep.epsilon}"
         )
     eps = max(rep.epsilon, 0.0)
-    constants = TheoremConstants(tau=triple.tau, omega0=config.omega0)
+    constants = TheoremConstants(tau=triple.tau)
 
     # Stage 1: normalize to unit masses; h is divided by the geometric mean
     # so the condition and the deficit are preserved.
@@ -613,20 +611,13 @@ def stability_decompose(
     # Stage 2: level profiles on a shared geometric grid.
     sup_ref = min(sup_f, sup_g)
     top = max(sup_f, sup_g, hn.sup_norm())
-    floor = (
-        config.floor_level
-        if config.floor_level is not None
-        else max(eps, 1e-6) * sup_ref
-    )
-    floor = min(floor, 0.5 * sup_ref)
+    floor = min(max(eps, 1e-6) * sup_ref, 0.5 * sup_ref)
     # Keep the top level strictly inside the sup: a level above the sup is
     # invalid, and flat-topped functions would lose the whole top rung of
     # the geometric grid (a relative mass error of ratio - 1, not O(eps)).
     levels = level_grid(floor, top * (1.0 - 1e-12), config.level_count)
     step = max(fn.step, gn.step)
-    threshold = config.good_threshold
-    if threshold is None:
-        threshold = default_good_threshold(triple.tau, eps, hn.integral()) + 8.0 * step
+    threshold = default_good_threshold(triple.tau, eps, hn.integral()) + 8.0 * step
     good = good_levels(tn, levels, threshold=threshold)
     flags["bad_level_measure"] = good.bad_level_measure
     flags["good_level_count"] = int(good.mask.sum())

@@ -88,7 +88,6 @@ def _case_1d(family: str, lam: float, seed: int) -> dict:
             "violations": cond.violations,
             "max_violation": cond.max_violation,
             "worst_pair": list(cond.worst_pair) if cond.worst_pair else None,
-            "exhaustive": cond.exhaustive,
         },
         "stability": report.to_json_dict(),
     }

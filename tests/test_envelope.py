@@ -295,6 +295,12 @@ def test_four_point_requires_uniform_grid():
         four_point_check(T, T**2, 0.5)
 
 
+def test_four_point_rejects_more_than_4096_points():
+    T = np.arange(4097.0)
+    with pytest.raises(DomainError, match="limited to 4096 points, got 4097"):
+        four_point_check(T, -(T**2), 0.5)
+
+
 # -- vectorised checks against the per-row loops they replaced ----------------------
 
 CHECK_LAMBDAS = [0.25, 0.3, 0.5, 0.7, 5.0 / 6.0, 0.37]

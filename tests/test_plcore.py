@@ -39,7 +39,7 @@ def test_condition_holds_for_equal_indicators():
     f = indicator(0, 1, 1.0, 0.01)
     t = PLTriple(f, f, f, 0.5)
     rep = t.condition_satisfied()
-    assert rep.satisfied and rep.violations == 0 and rep.exhaustive
+    assert rep.satisfied and rep.violations == 0
 
 
 def test_condition_holds_for_canonical_triples():
@@ -63,13 +63,61 @@ def test_condition_detects_undersized_h():
     assert 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0
 
 
-def test_condition_sampling_mode_is_deterministic():
-    f = gaussian(0.0, 1.0, 1.0, step=2e-3)
-    t = canonical_triple(f, f, 0.5, mode="halfgrid")
-    r1 = t.condition_satisfied(max_pairs=100_000, seed=4)
-    r2 = t.condition_satisfied(max_pairs=100_000, seed=4)
-    assert r1.checked == r2.checked and r1.satisfied and r2.satisfied
-    assert not r1.exhaustive
+def brute_force_condition(f, g, h):
+    """Condition (*) at lam = 1/2 with h on the halfgrid grid of (f, g).
+
+    Pair (i, j) lands exactly on h cell ``i + j``, so the target is an
+    integer and every pair is enumerated, a block of rows at a time.
+    Returns the violation count, the positive-pair count, the largest
+    shortfall and the violations per h cell.
+    """
+    fi = np.flatnonzero(f.values > 0)
+    gj = np.flatnonzero(g.values > 0)
+    hv = h.values
+    hmax = np.maximum(hv, np.maximum(np.r_[0.0, hv[:-1]], np.r_[hv[1:], 0.0]))
+    per_cell = np.zeros(hv.size, dtype=np.int64)
+    worst = 0.0
+    for rows in np.array_split(fi, 16):
+        k = rows[:, None] + gj[None, :]
+        rhs = f.values[rows, None] ** 0.5 * g.values[None, gj] ** 0.5
+        lhs = hmax[k]
+        bad = lhs < rhs * (1.0 - 1e-12)
+        per_cell += np.bincount(k[bad], minlength=hv.size)
+        if bad.any():
+            worst = max(worst, float(np.max(rhs[bad] / lhs[bad] - 1.0)))
+    return int(per_cell.sum()), fi.size * gj.size, worst, per_cell
+
+
+def test_condition_checks_every_pair_above_eight_million():
+    # 2 980**2 = 8.88e6 positive pairs: above the old sampling threshold.
+    rng = np.random.default_rng(17)
+    n = 3000
+    fv = rng.uniform(0.5, 1.5, n)
+    gv = rng.uniform(0.5, 1.5, n)
+    fv[rng.choice(n, 20, replace=False)] = 0.0
+    gv[rng.choice(n, 20, replace=False)] = 0.0
+    f = GridFunction(-1.5, 1e-3, fv)
+    g = GridFunction(-1.4, 1e-3, gv)
+    h = sup_convolution(f, g, 0.5, mode="halfgrid")
+    assert PLTriple(f, g, h, 0.5).condition_satisfied().satisfied
+    # A dip over three adjacent cells: the one-cell slack of the middle
+    # cell sees only dipped values.
+    c = 2 * n // 3
+    hv = h.values.copy()
+    hv[c - 1 : c + 2] *= 0.5
+    dipped = GridFunction(h.origin, h.step, hv)
+    rep = PLTriple(f, g, dipped, 0.5).condition_satisfied()
+    violations, pairs, worst, per_cell = brute_force_condition(f, g, dipped)
+    assert pairs == 2980**2
+    assert rep.checked == pairs
+    assert rep.violations == violations > 0
+    assert rep.max_violation == worst
+    assert not rep.satisfied
+    assert per_cell[c] > 0
+    assert set(np.flatnonzero(per_cell)) <= {c - 1, c, c + 1}
+    x, y = rep.worst_pair
+    target = dipped.origin + (c + 0.5) * dipped.step
+    assert (x + y) / 2 == pytest.approx(target, abs=2 * dipped.step)
 
 
 # -- sup_convolution ------------------------------------------------------------

@@ -266,6 +266,51 @@ def test_regularize_intervals_are_nested():
         assert np.all(a <= b + 1e-12)
 
 
+def loop_regularize(profile):
+    """Reference: the per-level running hull, from the top level down."""
+    usable = profile.usable()
+    n = profile.levels.size
+    left = np.full(n, np.nan)
+    right = np.full(n, np.nan)
+    run_left = np.inf
+    run_right = -np.inf
+    assigned = np.zeros(n, dtype=bool)
+    for k in range(n - 1, -1, -1):
+        if usable[k]:
+            run_left = min(run_left, profile.left[k])
+            run_right = max(run_right, profile.right[k])
+        if np.isfinite(run_left):
+            left[k] = run_left
+            right[k] = run_right
+            assigned[k] = True
+    return left, right, assigned
+
+
+def test_regularize_matches_level_loop_on_random_masked_profiles():
+    rng = np.random.default_rng(23)
+    for case in range(200):
+        n = int(rng.integers(1, 80))
+        levels = np.sort(rng.uniform(0.01, 1.0, n)) + np.arange(n) * 1e-9
+        mid = rng.uniform(-1, 1, n)
+        wid = rng.uniform(0.0, 2.0, n)
+        left, right = mid - wid, mid + wid
+        empty = rng.random(n) < 0.2
+        valid = rng.random(n) < 0.7
+        # At least one usable level, so regularize accepts the profile.
+        k = rng.integers(n)
+        empty[k], valid[k] = False, True
+        left[empty] = np.nan
+        right[empty] = np.nan
+        p = make_profile(levels, left, right, valid=valid)
+        r = regularize(p)
+        ref_left, ref_right, assigned = loop_regularize(p)
+        assert r.left.tobytes() == ref_left.tobytes(), case
+        assert r.right.tobytes() == ref_right.tobytes(), case
+        assert np.array_equal(r.valid, assigned), case
+        ref_deficit = np.where(assigned, 0.0, np.nan)
+        assert r.hull_deficit.tobytes() == ref_deficit.tobytes(), case
+
+
 def test_regularize_rejects_all_invalid():
     p = make_profile([0.1, 0.2], [np.nan, np.nan], [np.nan, np.nan])
     with pytest.raises(DomainError):

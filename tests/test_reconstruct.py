@@ -334,6 +334,17 @@ def test_pipeline_rejects_mismatched_steps():
         stability_decompose(PLTriple(f, g, h, 0.5), equality_config())
 
 
+@pytest.mark.parametrize("mode", ["snap", "auto"])
+@pytest.mark.parametrize("cells", [1, 2, 3])
+def test_pipeline_rejects_inputs_below_quadrature_tolerance(cells, mode):
+    # quadrature_tol = 6 * step here, so the deficit gate would admit any
+    # epsilon >= -1: auto gives epsilon = -1/(2 * cells) on these inputs.
+    f = grid_function(0.0, STEP, np.ones(cells))
+    t = canonical_triple(f, f, 0.5, mode=mode)
+    with pytest.raises(DomainError, match="quadrature tolerance 0.006.* masses 0.00"):
+        stability_decompose(t, PipelineConfig(supconv_mode=mode))
+
+
 def _stage6_reference(triple, htn):
     """Stage 6 as a per-shift loop over shifted copies of the witness.
 
