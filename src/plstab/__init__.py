@@ -6,8 +6,8 @@ interpolated pointwise condition is from the equality case, and
 constructively rebuilds the log-concave witness predicted by the
 stability theory: deficit computation, symmetric decreasing
 rearrangement, level-set profiles, concave/convex envelope fitting,
-reconstruction with L1 error reports, supporting diagnostics, and a 2D
-layer with reduction to one dimension.
+reconstruction with L1 error reports, supporting diagnostics, and a
+d-dimensional layer with reduction to one dimension.
 """
 
 from .gridfn import (
@@ -80,6 +80,7 @@ from .diagnostics import (
 from .multidim import (
     DistributionProfile,
     GridFunction2D,
+    GridFunctionND,
     ReducedDeficitReport,
     Triple2D,
     deficit_2d,

@@ -60,6 +60,29 @@ def _as_float_array(values: Iterable[float]) -> np.ndarray:
     return arr
 
 
+def _index_label(cell: tuple[int, ...]) -> str:
+    """A cell index as error messages name it: ``3`` in 1D, ``(1, 2)`` in 2D."""
+    return str(cell[0]) if len(cell) == 1 else str(cell)
+
+
+def _frozen_values(arr: np.ndarray) -> np.ndarray:
+    """Read-only copy of cell values of any dimension.
+
+    Raises:
+        DomainError: If there are no cells or a value is not finite or is
+            negative; the message names the first such cell.
+    """
+    if arr.size == 0:
+        raise DomainError("values must contain at least one cell")
+    for bad, what in ((~np.isfinite(arr), "is not finite"), (arr < 0, "is negative")):
+        if bad.any():
+            cell = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise DomainError(f"value at index {_index_label(cell)} {what}: {arr[cell]}")
+    arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Nonnegative piecewise-constant function on a uniform grid.
@@ -80,18 +103,7 @@ class GridFunction:
             raise DomainError("origin must be finite")
         if not (np.isfinite(self.step) and self.step > 0):
             raise DomainError(f"step must be positive and finite, got {self.step}")
-        arr = _as_float_array(self.values)
-        if arr.size == 0:
-            raise DomainError("values must contain at least one cell")
-        bad = np.flatnonzero(~np.isfinite(arr))
-        if bad.size:
-            raise DomainError(f"value at index {bad[0]} is not finite: {arr[bad[0]]}")
-        bad = np.flatnonzero(arr < 0)
-        if bad.size:
-            raise DomainError(f"value at index {bad[0]} is negative: {arr[bad[0]]}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen_values(_as_float_array(self.values)))
 
     # -- basic geometry -------------------------------------------------
 
@@ -466,30 +478,55 @@ def l1_distance(f: GridFunction, g: GridFunction) -> float:
 # -- JSON I/O -------------------------------------------------------------
 
 
-def _validate_payload(payload: dict, source: str) -> GridFunction:
+def _read_grid(path: str | Path, ndim: int, cls: type):
+    """Load a grid function of ``ndim`` dimensions from a JSON file.
+
+    In 1D origin and step are numbers, otherwise lists of ``ndim``
+    numbers, and values are nested lists of depth ``ndim``.  The JSON
+    shape and element types are checked here; ``cls(origin, step,
+    values)`` checks the numbers, and its ``DomainError`` is raised again
+    as a ``FormatError`` naming the file.
+    """
+    path = Path(path)
+    try:
+        payload = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: top-level JSON value must be an object")
     for key in ("origin", "step", "values"):
         if key not in payload:
-            raise FormatError(f"{source}: missing key '{key}'")
-    origin = payload["origin"]
-    step = payload["step"]
+            raise FormatError(f"{path}: missing key '{key}'")
+    axes = []
+    for key in ("origin", "step"):
+        items = payload[key] if ndim > 1 else [payload[key]]
+        if not (isinstance(items, list) and len(items) == ndim) or not all(
+            isinstance(v, (int, float)) for v in items
+        ):
+            kind = "a number" if ndim == 1 else f"a list of {ndim} numbers"
+            raise FormatError(f"{path}: {key} must be {kind}, got {payload[key]!r}")
+        axes.append(float(items[0]) if ndim == 1 else tuple(items))
     values = payload["values"]
-    if not isinstance(origin, (int, float)) or not np.isfinite(origin):
-        raise FormatError(f"{source}: origin must be a finite number, got {origin!r}")
-    if not isinstance(step, (int, float)) or not np.isfinite(step) or step <= 0:
-        raise FormatError(f"{source}: step must be a positive number, got {step!r}")
     if not isinstance(values, list) or not values:
-        raise FormatError(f"{source}: values must be a non-empty list")
-    arr = np.empty(len(values), dtype=float)
-    for i, v in enumerate(values):
+        raise FormatError(f"{path}: values must be a non-empty list")
+    shape = [len(values)]
+    for _ in range(ndim - 1):
+        width = len(values[0]) if isinstance(values[0], list) else 0
+        for i, row in enumerate(values):
+            if not isinstance(row, list) or not row or len(row) != width:
+                raise FormatError(f"{path}: row {i} must be a non-empty list as long as row 0")
+        shape.append(width)
+        values = [v for row in values for v in row]
+    for k, v in enumerate(values):
         if not isinstance(v, (int, float)):
-            raise FormatError(f"{source}: value at index {i} is not a number: {v!r}")
-        x = float(v)
-        if not np.isfinite(x):
-            raise FormatError(f"{source}: value at index {i} is not finite: {v!r}")
-        if x < 0:
-            raise FormatError(f"{source}: value at index {i} is negative: {v!r}")
-        arr[i] = x
-    return GridFunction(float(origin), float(step), arr)
+            cell = tuple(int(i) for i in np.unravel_index(k, shape))
+            raise FormatError(
+                f"{path}: value at index {_index_label(cell)} is not a number: {v!r}"
+            )
+    try:
+        return cls(*axes, np.array(values, dtype=float).reshape(shape))
+    except DomainError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def read_function(path: str | Path) -> GridFunction:
@@ -500,14 +537,7 @@ def read_function(path: str | Path) -> GridFunction:
             message names the offending index.
         OSError: If the file cannot be read.
     """
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise FormatError(f"{path}: top-level JSON value must be an object")
-    return _validate_payload(payload, str(path))
+    return _read_grid(path, 1, GridFunction)
 
 
 def write_function(f: GridFunction, path: str | Path) -> None:

@@ -1,25 +1,30 @@
-"""Two-dimensional triples and reduction to one dimension.
+"""Triples in d >= 2 dimensions and their reduction to one dimension.
 
-A 2D triple satisfying the interpolated condition induces, through the
-distribution functions ``F(t) = area{f > t}``, a *multiplicative* triple
-on the level axis:
+A d-dimensional triple is a ``PLTriple`` of ``GridFunctionND`` functions
+(``Triple2D`` and ``GridFunction2D`` are the 2D names of the same
+classes), and its deficit is ``plcore.deficit``.  A triple satisfying the
+interpolated condition induces, through the distribution functions
+``F(t) = volume{f > t}``, a *multiplicative* triple on the level axis:
 
     H(r**(1-lam) * s**lam) >= (1-lam) F(r) + lam G(s)   is too strong;
     the correct induced relations are
 
     H(r**(1-lam) * s**lam) >= F(r)**(1-lam) * G(s)**lam            (mult)
-    H(r**(1-lam) * s**lam) >= ((1-lam) sqrt(F(r)) + lam sqrt(G(s)))**2
+    H(r**(1-lam) * s**lam) >= ((1-lam) F(r)**(1/d) + lam G(s)**(1/d))**d
 
-the second via the Brunn-Minkowski inequality in dimension 2.  The change
+the second via the Brunn-Minkowski inequality in dimension d.  The change
 of variables ``x = log t`` with densities ``f(x) = F(e**x) * e**x`` turns
 (mult) into the usual additive condition for a 1D triple whose integrals
-equal the original 2D integrals (Fubini through the layer-cake formula),
-so the 1D deficit machinery applies verbatim to the reduced triple.
+equal the original d-dimensional integrals (Fubini through the layer-cake
+formula), so the 1D deficit machinery applies verbatim to the reduced
+triple.
 
-The 2D sup-convolution is the 1D snap mode applied per axis and runs on
-the same exact rational-lattice kernel (``plcore._lattice``), so 1D and
-2D share one tie rule and one output-size rule.  Grids are capped at
-modest sizes, because the work grows with the number of cell pairs.
+The d-dimensional sup-convolution is the 1D snap mode applied per axis
+and runs on the same exact rational-lattice kernel (``plcore._lattice``),
+and the pointwise condition is checked by the 1D check's kernel
+(``plcore._condition_check``), so every dimension shares one tie rule,
+one output-size rule and one slack rule.  The work grows with the number
+of cell pairs, which is capped.
 """
 
 from __future__ import annotations
@@ -32,68 +37,75 @@ from pathlib import Path
 
 import numpy as np
 
-from .gridfn import DomainError, FormatError, GridFunction
-from .plcore import DeficitReport, PLTriple, _deficit_report, _snap, deficit
+from .gridfn import DomainError, GridFunction, _frozen_values, _read_grid
+from .plcore import (
+    DeficitReport,
+    PLTriple,
+    _check_lambda,
+    _condition_check,
+    _positive_cells,
+    _snap,
+    deficit,
+)
 from .profiles import _superlevel_counts
 
+# The 2D aliases are left out: each is the same object as a name above or
+# in ``plcore``, so tools that walk ``__all__`` would meet it twice.
 __all__ = [
-    "GridFunction2D",
-    "Triple2D",
+    "GridFunctionND",
     "DistributionProfile",
     "distribution",
     "multiplicative_to_additive",
     "sup_convolution_2d",
-    "deficit_2d",
     "reduced_deficit",
     "ReducedDeficitReport",
     "read_function_2d",
     "write_function_2d",
 ]
 
-# Size guards for the 2D sup-convolution, whose work grows with the pairs.
-_MAX_AXIS_CELLS = 192
+# Size guard for the sup-convolution, whose work grows with the pairs.
 _MAX_PAIRS = 40_000_000
 
 
 @dataclass(frozen=True)
-class GridFunction2D:
-    """Nonnegative piecewise-constant function on a uniform 2D grid.
+class GridFunctionND:
+    """Nonnegative piecewise-constant function on a uniform grid in d >= 2 dimensions.
 
-    Cell (i, j) is ``[ox + i*dx, ox + (i+1)*dx) x [oy + j*dy, oy +
-    (j+1)*dy)`` with value ``values[i, j]``.
+    Cell ``k`` is the box ``[origin[a] + k[a]*step[a], origin[a] +
+    (k[a]+1)*step[a])`` on each axis ``a`` with value ``values[k]``;
+    ``origin`` and ``step`` have one entry per axis, d = ``values.ndim``.
     """
 
-    origin: tuple[float, float]
-    step: tuple[float, float]
+    origin: tuple[float, ...]
+    step: tuple[float, ...]
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        ox, oy = self.origin
-        dx, dy = self.step
-        if not (np.isfinite(ox) and np.isfinite(oy)):
-            raise DomainError("origin must be finite")
-        if not (np.isfinite(dx) and dx > 0 and np.isfinite(dy) and dy > 0):
-            raise DomainError(f"steps must be positive, got {self.step}")
         arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 2 or arr.size == 0:
-            raise DomainError(f"values must be a non-empty 2D array, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            i, j = np.argwhere(~np.isfinite(arr))[0]
-            raise DomainError(f"value at index ({i}, {j}) is not finite")
-        if np.any(arr < 0):
-            i, j = np.argwhere(arr < 0)[0]
-            raise DomainError(f"value at index ({i}, {j}) is negative: {arr[i, j]}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        if arr.ndim < 2:
+            raise DomainError(f"values need at least two dimensions, got shape {arr.shape}")
+        origin = tuple(float(o) for o in self.origin)
+        step = tuple(float(d) for d in self.step)
+        if len(origin) != arr.ndim or len(step) != arr.ndim:
+            raise DomainError(
+                f"origin and step need {arr.ndim} entries, got {origin} and {step}"
+            )
+        if not np.all(np.isfinite(origin)):
+            raise DomainError("origin must be finite")
+        if not all(np.isfinite(d) and d > 0 for d in step):
+            raise DomainError(f"steps must be positive, got {step}")
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "values", _frozen_values(arr))
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
     @property
     def cell_area(self) -> float:
-        return float(self.step[0] * self.step[1])
+        """Volume of one cell."""
+        return float(math.prod(self.step))
 
     def integral(self) -> float:
         return float(self.values.sum() * self.cell_area)
@@ -102,34 +114,21 @@ class GridFunction2D:
         return float(self.values.max())
 
     def superlevel_measure(self, t: float, strict: bool = True) -> float:
-        """Area of ``{f > t}`` (or >=) as an exact cell count."""
+        """Volume of ``{f > t}`` (or >=) as an exact cell count."""
         mask = self.values > t if strict else self.values >= t
         return float(mask.sum()) * self.cell_area
 
     def to_json_dict(self) -> dict:
         return {
-            "origin": [float(self.origin[0]), float(self.origin[1])],
-            "step": [float(self.step[0]), float(self.step[1])],
-            "values": [[float(v) for v in row] for row in self.values],
+            "origin": list(self.origin),
+            "step": list(self.step),
+            "values": self.values.tolist(),
         }
 
 
-@dataclass(frozen=True)
-class Triple2D:
-    """A 2D candidate triple with interpolation weight lam."""
-
-    f: GridFunction2D
-    g: GridFunction2D
-    h: GridFunction2D
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.lam) and 0.0 < self.lam < 1.0):
-            raise DomainError(f"lambda must lie in (0, 1), got {self.lam}")
-
-    @property
-    def tau(self) -> float:
-        return float(min(self.lam, 1.0 - self.lam))
+GridFunction2D = GridFunctionND
+Triple2D = PLTriple
+deficit_2d = deficit
 
 
 @dataclass(frozen=True)
@@ -169,8 +168,8 @@ class DistributionProfile:
         return out
 
 
-def distribution(f: GridFunction2D, levels: np.ndarray) -> DistributionProfile:
-    """Exact superlevel areas of a 2D function at the given levels."""
+def distribution(f: GridFunctionND, levels: np.ndarray) -> DistributionProfile:
+    """Exact superlevel volumes of a function at the given levels."""
     levels = np.asarray(levels, dtype=float)
     counts = _superlevel_counts(f.values, levels)
     return DistributionProfile(levels, counts * f.cell_area)
@@ -206,9 +205,9 @@ def multiplicative_to_additive(profile: DistributionProfile) -> GridFunction:
 
 
 def sup_convolution_2d(
-    f: GridFunction2D, g: GridFunction2D, lam: float
-) -> GridFunction2D:
-    """Snap sup-convolution of two 2D grid functions.
+    f: GridFunctionND, g: GridFunctionND, lam: float
+) -> GridFunctionND:
+    """Snap sup-convolution of two grid functions of the same dimension d >= 2.
 
     Computes ``h(z) = sup f(x)**(1-lam) * g(y)**lam`` over pairs of cell
     centers with ``(1-lam)x + lam*y`` in the cell of z, on a grid with the
@@ -218,84 +217,58 @@ def sup_convolution_2d(
     Its error is an upward bias of order ``step`` per axis (about
     ``step/2`` times the local slope of h).
 
-    Tie rule: a target halfway between two cell centers goes to the upper
-    one (round half up).  When ``lam == p/q`` exactly with ``q <= 64``
-    (and the lattice has at most 2**22 indices) the rule is applied to the
-    integer lattice index ``(q-p)*i + p*j`` of the pair on each axis, so
-    ties are settled exactly; otherwise it is ``floor(u + 0.5)`` on the
-    float offset ``u = (1-lam)*i + lam*j``.  Each axis of the output is
-    sized by the same rule applied to the extreme pair, so every pair has
-    a cell.
+    The tie rule and the output size are those of snap
+    ``sup_convolution``, applied on each axis.
 
-    Guarded to small grids: each axis at most ``192`` cells and at most
-    4e7 positive pairs.  If either input is identically zero the result
-    is a 1x1 zero function (a warning is emitted).
+    Guarded to at most 4e7 positive pairs.  If either input is
+    identically zero the result is a single zero cell (a warning is
+    emitted).
 
     Raises:
-        DomainError: On step mismatch or when the instance exceeds the
-            guards.
+        DomainError: On a dimension or step mismatch or when the instance
+            exceeds the guard.
     """
-    if not (np.isfinite(lam) and 0.0 < lam < 1.0):
-        raise DomainError(f"lambda must lie in (0, 1), got {lam}")
-    if not (
-        np.isclose(f.step[0], g.step[0], rtol=1e-12)
-        and np.isclose(f.step[1], g.step[1], rtol=1e-12)
-    ):
-        raise DomainError("sup_convolution_2d requires equal steps")
-    for gf in (f, g):
-        if max(gf.shape) > _MAX_AXIS_CELLS:
-            raise DomainError(
-                f"2D grids are capped at {_MAX_AXIS_CELLS} cells per axis, got {gf.shape}"
-            )
-    origin = (
-        (1 - lam) * f.origin[0] + lam * g.origin[0],
-        (1 - lam) * f.origin[1] + lam * g.origin[1],
-    )
+    lam = _check_lambda(lam)
+    if f.values.ndim != g.values.ndim or not np.allclose(f.step, g.step, rtol=1e-12):
+        raise DomainError("sup_convolution_2d requires equal dimensions and steps")
+    origin = tuple((1 - lam) * a + lam * b for a, b in zip(f.origin, g.origin))
     nf = int(np.count_nonzero(f.values))
     ng = int(np.count_nonzero(g.values))
     if nf == 0 or ng == 0:
         warnings.warn("sup_convolution_2d of a zero function is zero", stacklevel=2)
-        return GridFunction2D(origin, f.step, np.zeros((1, 1)))
+        return GridFunctionND(origin, f.step, np.zeros((1,) * f.values.ndim))
     if nf * ng > _MAX_PAIRS:
         raise DomainError(
             f"too many positive-cell pairs ({nf} * {ng}); the guard is {_MAX_PAIRS}"
         )
     values = _snap(f.values ** (1.0 - lam), g.values**lam, lam)
-    return GridFunction2D(origin, f.step, values)
-
-
-def deficit_2d(triple: Triple2D) -> DeficitReport:
-    """Normalized deficit of a 2D triple via exact cell sums.
-
-    Raises:
-        DomainError: If ``int f`` or ``int g`` is zero or any integral is
-            not finite.
-    """
-    return _deficit_report(
-        triple.f.integral(), triple.g.integral(), triple.h.integral(), triple.lam
-    )
+    return GridFunctionND(origin, f.step, values)
 
 
 @dataclass(frozen=True)
 class ReducedDeficitReport:
-    """Outcome of the 2D -> 1D reduction.
+    """Outcome of the reduction of a d-dimensional triple to one dimension.
 
-    The three violation counts are taken over seeded random samples of
-    ``n_samples`` draws each, so a count of 0 certifies only the sample.
-    (The 1D check ``PLTriple.condition_satisfied`` checks every pair.)
+    The three violation counts are sampled, not exhaustive: the pointwise
+    count over ``n_samples`` seeded pairs of positive cells, and the two
+    level counts over ``n_samples`` seeded level pairs.  So a count of 0
+    certifies only its sample.  (``PLTriple.condition_satisfied`` checks
+    every pair, in any dimension.)
 
     Attributes:
-        deficit_2d: Deficit report of the original 2D triple.
+        deficit_2d: Deficit report of the original d-dimensional triple.
         deficit_reduced: Deficit report of the reduced additive 1D triple.
-        condition_2d_violations: Violations of the pointwise 2D condition
-            among sampled pairs of positive cells (count).
+        condition_2d_violations: Violations of the pointwise condition in
+            dimension d among the sampled pairs of positive cells (count).
         multiplicative_violations: Violations of the induced
-            multiplicative level condition among sampled level pairs
+            multiplicative level condition among the sampled level pairs
             (count).
         brunn_minkowski_violations: Violations of the stronger
-            Brunn-Minkowski form among the same level pairs (count).
-        mass_error: Max relative gap between 2D integrals and the reduced
-            1D integrals (discretization of the layer-cake formula).
+            Brunn-Minkowski form (exponent 1/d) among the same level pairs
+            (count).
+        mass_error: Max relative gap between the d-dimensional integrals
+            and the reduced 1D integrals (discretization of the layer-cake
+            formula).
     """
 
     deficit_2d: DeficitReport
@@ -320,64 +293,47 @@ class ReducedDeficitReport:
         }
 
 
-def _sample_condition_2d(
-    triple: Triple2D, n_samples: int, seed: int, rel_tol: float = 1e-9
-) -> int:
-    """Count violations of the 2D condition on sampled positive pairs.
+def _sample_condition_2d(triple: PLTriple, n_samples: int, seed: int) -> int:
+    """Count violations of the pointwise condition on sampled positive pairs.
 
-    The combination of two cell centers is snapped to h's grid; the value
-    of h is taken as the max over the 3x3 neighborhood of the target cell
-    (one cell of slack per axis, the 2D analog of the 1D convention).
+    Draws ``min(n_samples, number of pairs)`` seeded pairs of positive
+    cells, with replacement, and checks them with the kernel of
+    ``PLTriple.condition_satisfied``: one cell of slack per axis, the 3**d
+    cells around each target.
     """
     lam = triple.lam
-    f, g, h = triple.f, triple.g, triple.h
     rng = np.random.default_rng(seed)
-    fi, fj = np.nonzero(f.values > 0)
-    gi, gj = np.nonzero(g.values > 0)
-    if fi.size == 0 or gi.size == 0:
+    fx, fpow = _positive_cells(triple.f, 1 - lam)
+    gy, gpow = _positive_cells(triple.g, lam)
+    if fpow.size == 0 or gpow.size == 0:
         return 0
-    na = min(n_samples, fi.size * gi.size)
-    ia = rng.integers(0, fi.size, size=na)
-    ib = rng.integers(0, gi.size, size=na)
-    fx = f.origin[0] + f.step[0] * (fi[ia] + 0.5)
-    fy = f.origin[1] + f.step[1] * (fj[ia] + 0.5)
-    gx = g.origin[0] + g.step[0] * (gi[ib] + 0.5)
-    gy = g.origin[1] + g.step[1] * (gj[ib] + 0.5)
-    zx = (1 - lam) * fx + lam * gx
-    zy = (1 - lam) * fy + lam * gy
-    kx = np.floor((zx - h.origin[0]) / h.step[0]).astype(np.int64)
-    ky = np.floor((zy - h.origin[1]) / h.step[1]).astype(np.int64)
-    hv = h.values
-    nx, ny = hv.shape
-    best = np.zeros(na)
-    for du in (-1, 0, 1):
-        for dv in (-1, 0, 1):
-            ku = np.clip(kx + du, 0, nx - 1)
-            kv = np.clip(ky + dv, 0, ny - 1)
-            np.maximum(best, hv[ku, kv], out=best)
-    rhs = f.values[fi[ia], fj[ia]] ** (1 - lam) * g.values[gi[ib], gj[ib]] ** lam
-    return int(np.sum(best < rhs * (1.0 - rel_tol)))
+    na = min(n_samples, fpow.size * gpow.size)
+    ia = rng.integers(0, fpow.size, size=na)
+    ib = rng.integers(0, gpow.size, size=na)
+    z = [(1 - lam) * x[ia] + lam * y[ib] for x, y in zip(fx, gy)]
+    [(violations, _, _)] = _condition_check(triple.h, [(z, fpow[ia] * gpow[ib])])
+    return violations
 
 
 def reduced_deficit(
-    triple: Triple2D,
+    triple: PLTriple,
     level_count: int = 512,
     n_samples: int = 4000,
     seed: int = 0,
 ) -> ReducedDeficitReport:
-    """Reduce a 2D triple to an additive 1D triple and report both deficits.
+    """Reduce a d-dimensional triple to an additive 1D triple and report both deficits.
 
     Builds the distribution profiles F, G, H on a shared geometric level
-    grid, verifies (by seeded sampling) the 2D pointwise condition, the
+    grid, verifies (by seeded sampling) the pointwise condition, the
     induced multiplicative condition on levels, and the Brunn-Minkowski
-    strengthening, then applies the log change of variables and the 1D
-    deficit.  Violation counts are reported, not fatal: they quantify the
-    discretization of each implication.
+    strengthening in dimension d, then applies the log change of
+    variables and the 1D deficit.  Violation counts are reported, not
+    fatal: they quantify the discretization of each implication.
 
     Raises:
         DomainError: If f or g is identically zero.
     """
-    d2 = deficit_2d(triple)
+    d2 = deficit(triple)
     sups = [triple.f.sup_norm(), triple.g.sup_norm(), triple.h.sup_norm()]
     top = max(sups)
     if top <= 0:
@@ -400,7 +356,8 @@ def reduced_deficit(
     Ht_slack = H(t / ratio)
     mult_rhs = Fr ** (1 - lam) * Gs**lam
     mult_viol = int(np.sum(Ht_slack < mult_rhs * (1 - 1e-9)))
-    bm_rhs = ((1 - lam) * np.sqrt(Fr) + lam * np.sqrt(Gs)) ** 2
+    d = triple.f.values.ndim
+    bm_rhs = ((1 - lam) * Fr ** (1 / d) + lam * Gs ** (1 / d)) ** d
     bm_viol = int(np.sum(Ht_slack < bm_rhs * (1 - 1e-9)))
     cond_viol = _sample_condition_2d(triple, n_samples, seed)
 
@@ -425,53 +382,19 @@ def reduced_deficit(
     )
 
 
-# -- 2D JSON I/O ---------------------------------------------------------------
+# -- JSON I/O -------------------------------------------------------------------
 
 
-def read_function_2d(path: str | Path) -> GridFunction2D:
-    """Load a 2D grid function from JSON with full validation."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise FormatError(f"{path}: top-level JSON value must be an object")
-    for key in ("origin", "step", "values"):
-        if key not in payload:
-            raise FormatError(f"{path}: missing key '{key}'")
-    origin = payload["origin"]
-    step = payload["step"]
-    values = payload["values"]
-    for name, pair in (("origin", origin), ("step", step)):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise FormatError(f"{path}: {name} must be a list of two numbers")
-    if not isinstance(values, list) or not values:
-        raise FormatError(f"{path}: values must be a non-empty list of rows")
-    width = None
-    arr = []
-    for i, row in enumerate(values):
-        if not isinstance(row, list) or not row:
-            raise FormatError(f"{path}: row {i} must be a non-empty list")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise FormatError(f"{path}: row {i} has length {len(row)}, expected {width}")
-        for j, v in enumerate(row):
-            if not isinstance(v, (int, float)) or not np.isfinite(v):
-                raise FormatError(f"{path}: value at index ({i}, {j}) is not finite: {v!r}")
-            if v < 0:
-                raise FormatError(f"{path}: value at index ({i}, {j}) is negative: {v!r}")
-        arr.append([float(v) for v in row])
-    try:
-        return GridFunction2D(
-            (float(origin[0]), float(origin[1])),
-            (float(step[0]), float(step[1])),
-            np.asarray(arr),
-        )
-    except DomainError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+def read_function_2d(path: str | Path) -> GridFunctionND:
+    """Load a 2D grid function from JSON with full validation.
+
+    Raises:
+        FormatError: On a missing key, a ragged row or a negative or
+            non-finite value; the message names the row or the cell.
+        OSError: If the file cannot be read.
+    """
+    return _read_grid(path, 2, GridFunctionND)
 
 
-def write_function_2d(f: GridFunction2D, path: str | Path) -> None:
+def write_function_2d(f: GridFunctionND, path: str | Path) -> None:
     Path(path).write_text(json.dumps(f.to_json_dict()) + "\n")

@@ -84,13 +84,14 @@ class ConditionReport:
         max_violation: Largest relative shortfall ``rhs/lhs - 1`` observed
             (0.0 when none).
         worst_pair: Cell centers ``(x, y)`` of the worst violation, or None.
+            In d >= 2 dimensions x and y are tuples of per-axis coordinates.
     """
 
     satisfied: bool
     checked: int
     violations: int
     max_violation: float
-    worst_pair: tuple[float, float] | None
+    worst_pair: tuple | None
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,8 @@ class PLTriple:
     """A candidate triple for the interpolated inequality.
 
     Attributes:
-        f, g, h: Nonnegative grid functions.
+        f, g, h: Nonnegative grid functions of one dimension d:
+            ``GridFunction`` in 1D, ``multidim.GridFunctionND`` in d >= 2.
         lam: Interpolation weight in (0, 1) (weight of g).
     """
 
@@ -109,6 +111,8 @@ class PLTriple:
 
     def __post_init__(self) -> None:
         _check_lambda(self.lam)
+        if not self.f.values.ndim == self.g.values.ndim == self.h.values.ndim:
+            raise DomainError("f, g and h must have the same dimension")
 
     @property
     def tau(self) -> float:
@@ -118,65 +122,99 @@ class PLTriple:
     def condition_satisfied(self) -> ConditionReport:
         """Check condition (*) on every pair of positive cells, with one cell of slack.
 
-        For each pair of cells (i, j) with ``f_i > 0`` and ``g_j > 0`` the
-        combination ``z = (1-lam)*x_i + lam*y_j`` of the cell centers is
+        For each pair of cells with ``f(x) > 0`` and ``g(y) > 0`` the
+        combination ``z = (1-lam)*x + lam*y`` of the cell centers is
         located in h's grid, and the pair passes when
 
-            max(h over the target cell and its two neighbors)
-                >= (f_i**(1-lam) * g_j**lam) * (1 - 1e-12).
+            max(h over the target cell and its neighbors)
+                >= (f(x)**(1-lam) * g(y)**lam) * (1 - 1e-12),
 
-        The one-cell slack on the target absorbs the snapping of z to h's
-        grid: for a locally monotone h one of the three candidate cells
-        always sits uphill of z, so snapping alone can never produce a
-        false violation.  No pair is skipped: ``checked`` is the number
-        of positive f cells times the number of positive g cells.
+        with h zero outside its grid (``_condition_check``).  The one-cell
+        slack on the target absorbs the snapping of z to h's grid: for a
+        locally monotone h one of the candidate cells always sits uphill
+        of z, so snapping alone can never produce a false violation.  No
+        pair is skipped: ``checked`` is the number of positive f cells
+        times the number of positive g cells.
         """
         lam = self.lam
-        f, g, h = self.f, self.g, self.h
-        flo, fhi = f.support_indices()
-        glo, ghi = g.support_indices()
-        if flo == fhi or glo == ghi:
+        fx, fpow = _positive_cells(self.f, 1.0 - lam)
+        gy, gpow = _positive_cells(self.g, lam)
+        if fpow.size == 0 or gpow.size == 0:
             return ConditionReport(True, 0, 0, 0.0, None)
-        fi = np.arange(flo, fhi)
-        gj = np.arange(glo, ghi)
-        fi = fi[f.values[fi] > 0]
-        gj = gj[g.values[gj] > 0]
-        # h with one-cell slack: running max of each cell and its neighbors.
-        hv = h.values
-        hmax = hv.copy()
-        hmax[:-1] = np.maximum(hmax[:-1], hv[1:])
-        hmax[1:] = np.maximum(hmax[1:], hv[:-1])
-        fx = f.origin + f.step * (fi + 0.5)
-        fpow = f.values[fi] ** (1.0 - lam)
-        gy = g.origin + g.step * (gj + 0.5)
-        gpow = g.values[gj] ** lam
-        lam_gy = lam * gy
-
+        lam_gy = [lam * y for y in gy]
+        xs = list(zip(*(x.tolist() for x in fx)))
+        # One f cell at a time keeps every temporary at the size of g.
+        rows = (
+            ([(1.0 - lam) * xa + ya for xa, ya in zip(x, lam_gy)], fp * gpow)
+            for x, fp in zip(xs, fpow.tolist())
+        )
         violations = 0
         max_violation = 0.0
-        worst: tuple[float, float] | None = None
-        # One row of pairs at a time keeps every temporary at the size of g.
-        for x, fp in zip(fx.tolist(), fpow.tolist()):
-            z = (1.0 - lam) * x + lam_gy
-            k = np.floor((z - h.origin) / h.step).astype(np.int64)
-            lhs = hmax[np.clip(k, 0, h.size - 1)]
-            rhs = fp * gpow
-            bad = lhs < rhs * (1.0 - _CONDITION_REL_TOL)
-            nbad = int(np.count_nonzero(bad))
+        worst = None
+        for x, (nbad, bad, shortfall) in zip(xs, _condition_check(self.h, rows)):
             if nbad:
                 violations += nbad
-                shortfall = rhs[bad] / np.maximum(lhs[bad], 1e-300) - 1.0
                 w = int(np.argmax(shortfall))
                 if shortfall[w] > max_violation:
                     max_violation = float(shortfall[w])
-                    worst = (x, float(gy[bad][w]))
+                    y = tuple(float(ya[bad][w]) for ya in gy)
+                    worst = (x[0], y[0]) if len(x) == 1 else (x, y)
         return ConditionReport(
             satisfied=violations == 0,
-            checked=fi.size * gj.size,
+            checked=fpow.size * gpow.size,
             violations=violations,
             max_violation=max_violation,
             worst_pair=worst,
         )
+
+
+def _positive_cells(gf, power: float) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Centers (one array per axis) and ``value**power`` of the positive cells, in C order."""
+    idx = np.nonzero(gf.values > 0)
+    origin = np.atleast_1d(gf.origin).tolist()
+    step = np.atleast_1d(gf.step).tolist()
+    centers = tuple(o + s * (i + 0.5) for o, s, i in zip(origin, step, idx))
+    return centers, gf.values[idx] ** power
+
+
+def _condition_check(h, batches):
+    """Check condition (*) on batches of pairs, with one cell of slack.
+
+    ``h`` is a grid function of any dimension d.  Each batch is ``(z,
+    rhs)``: the targets ``(1-lam)*x + lam*y`` of its pairs, one array per
+    axis, and the right-hand sides ``f(x)**(1-lam) * g(y)**lam``.  A
+    target's cell is ``floor((z - origin) / step)`` on each axis, and the
+    pair passes when the maximum of h over the 3**d cells around it is at
+    least ``rhs * (1 - 1e-12)``; h is zero outside its grid.
+
+    Yields, per batch, the number of violating pairs, their mask and their
+    relative shortfalls ``rhs/lhs - 1`` (None when there are none).
+    """
+    origin = np.atleast_1d(h.origin).tolist()
+    step = np.atleast_1d(h.step).tolist()
+    top = [n + 1 for n in h.values.shape]
+    # The slack maximum over cyclic neighbors of h padded by three zero
+    # cells at the end of each axis.  A target cell k clipped to
+    # [-2, n + 1] reads index k: k = -1 (which wraps) and k = n see h's
+    # edge cells, and k = -2 and k = n + 1 see only padding, that is 0.
+    hmax = np.pad(h.values, [(0, 3)] * h.values.ndim)
+    for axis in range(hmax.ndim):
+        hmax = np.maximum.reduce([hmax, np.roll(hmax, 1, axis), np.roll(hmax, -1, axis)])
+    for z, rhs in batches:
+        # In place where possible: in 1D this runs once per f cell.
+        cells = []
+        for za, o, s, n in zip(z, origin, step, top):
+            u = za - o
+            u /= s
+            k = np.floor(u, out=u).astype(np.int64)
+            cells.append(k.clip(-2, n, out=k))
+        lhs = hmax[tuple(cells)]
+        bad = lhs < rhs * (1.0 - _CONDITION_REL_TOL)
+        nbad = int(np.count_nonzero(bad))
+        if nbad:
+            yield nbad, bad, rhs[bad] / np.maximum(lhs[bad], 1e-300) - 1.0
+        else:
+            yield 0, bad, None
 
 
 # -- sup-convolution -------------------------------------------------------

@@ -61,15 +61,16 @@ def symmetric_decreasing(f: GridFunction) -> GridFunction:
     return GridFunction(origin, f.step, out)
 
 
-def rearranged_triple(triple: PLTriple, mode: str = "snap") -> PLTriple:
+def rearranged_triple(triple: PLTriple) -> PLTriple:
     """Rearrange f and g and pair them with their canonical combination.
 
-    Returns the triple ``(f*, g*, sup_convolution(f*, g*, lam), lam)``.
+    Returns the triple ``(f*, g*, sup_convolution(f*, g*, lam), lam)``,
+    whose h is in snap mode.
     Since rearrangement preserves integrals exactly, the deficit of the
     returned triple differs from the original canonical deficit only
     through the sup-convolution's own grid error.
     """
     fs = symmetric_decreasing(triple.f)
     gs = symmetric_decreasing(triple.g)
-    hs = sup_convolution(fs, gs, triple.lam, mode=mode)
+    hs = sup_convolution(fs, gs, triple.lam)
     return PLTriple(fs, gs, hs, triple.lam)

@@ -35,6 +35,7 @@ from .gridfn import DomainError, GridFunction, _l1_shifts, l1_distance
 from .plcore import (
     DeficitReport,
     PLTriple,
+    _check_lambda,
     _rational,
     deficit,
     quadrature_tol,
@@ -421,8 +422,7 @@ def align(
     """
     if not (np.isfinite(a) and a > 0):
         raise DomainError(f"scaling ratio a must be positive, got {a}")
-    if not (0.0 < lam < 1.0):
-        raise DomainError(f"lambda must lie in (0, 1), got {lam}")
+    _check_lambda(lam)
     target = f.scale(a**lam)
     step = h_tilde.step
     # Candidate cell shifts must bring the witness window onto the target.

@@ -10,7 +10,11 @@ import pytest
 from plstab import (
     DomainError,
     FormatError,
+    GridFunction,
     GridFunction2D,
+    GridFunctionND,
+    PLTriple,
+    deficit,
     Triple2D,
     deficit_2d,
     distribution,
@@ -268,6 +272,13 @@ def test_deficit_2d_squares_exact():
     assert rep.a == pytest.approx(4.0)
 
 
+def test_triple_rejects_mixed_dimensions():
+    f = GridFunction(0.0, 0.1, np.ones(10))
+    g = square(1.0, step=0.1)
+    with pytest.raises(DomainError, match="same dimension"):
+        PLTriple(f, g, g, 0.5)
+
+
 def test_deficit_2d_rejects_zero_mass():
     z = GridFunction2D((0.0, 0.0), (0.1, 0.1), np.zeros((3, 3)))
     f = square(1.0)
@@ -325,6 +336,46 @@ def test_reduction_rejects_zero():
     z = GridFunction2D((0.0, 0.0), (0.1, 0.1), np.zeros((3, 3)))
     with pytest.raises(DomainError):
         reduced_deficit(Triple2D(z, z, z, 0.5))
+
+
+def test_reduction_condition_reads_zero_beyond_a_short_h():
+    # h covers only [0, 0.5)^2: targets past it must read 0, exactly as
+    # when h is zero-padded to the grid of f.
+    f = GridFunction2D((0.0, 0.0), (0.1, 0.1), np.ones((10, 10)))
+    short = GridFunction2D((0.0, 0.0), (0.1, 0.1), np.ones((5, 5)))
+    padded = GridFunction2D((0.0, 0.0), (0.1, 0.1), np.pad(np.ones((5, 5)), (0, 5)))
+    counts = [
+        reduced_deficit(Triple2D(f, f, h, 0.5), n_samples=4000, seed=0).condition_2d_violations
+        for h in (short, padded)
+    ]
+    assert counts[0] == counts[1] > 0
+
+
+# -- d = 3 ---------------------------------------------------------------------
+
+
+def test_boxes_in_three_dimensions():
+    # f = 1 on [0, 1]^3 and g = 1 on [0, 2]^3: at lam = 1/2 the
+    # sup-convolution is 1 on [0, 1.5]^3, so eps = 1.5**3 / sqrt(8) - 1.
+    step = (0.25, 0.25, 0.25)
+    f = GridFunctionND((0.0, 0.0, 0.0), step, np.ones((4, 4, 4)))
+    g = GridFunctionND((0.0, 0.0, 0.0), step, np.ones((8, 8, 8)))
+    h = sup_convolution_2d(f, g, 0.5)
+    assert h.origin == (0.0, 0.0, 0.0)
+    np.testing.assert_array_equal(h.values, np.ones((6, 6, 6)))
+    triple = PLTriple(f, g, h, 0.5)
+    assert deficit(triple).epsilon == 0.19324269325229881
+    cond = triple.condition_satisfied()
+    assert cond.satisfied and cond.checked == 64 * 512
+    rep = reduced_deficit(triple)
+    # Below level 1, F = 1, G = 8 and H = 3.375: Brunn-Minkowski holds with
+    # equality at exponent 1/3, and exponent 1/2 would give
+    # ((1 + sqrt(8)) / 2)**2 = 3.66 > H at every sampled level pair.
+    assert rep.multiplicative_violations == 0
+    assert rep.brunn_minkowski_violations == 0
+    assert rep.condition_2d_violations == 0
+    assert rep.epsilon == pytest.approx(0.19324269325229881, abs=1e-6)
+    assert rep.mass_error <= 1e-5
 
 
 # -- 2D JSON I/O -----------------------------------------------------------------

@@ -63,6 +63,17 @@ def test_condition_detects_undersized_h():
     assert 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0
 
 
+def test_condition_reads_zero_beyond_a_short_h():
+    # Pair targets in [0.5, 1) fall past h's last cell, where h is 0;
+    # the check must not compare them with h's edge cell.
+    f = GridFunction(0.0, 0.01, np.ones(100))
+    short = GridFunction(0.0, 0.01, np.ones(50))
+    padded = GridFunction(0.0, 0.01, np.r_[np.ones(50), np.zeros(50)])
+    rep = PLTriple(f, f, short, 0.5).condition_satisfied()
+    assert (rep.violations, rep.checked) == (4851, 10_000)
+    assert rep == PLTriple(f, f, padded, 0.5).condition_satisfied()
+
+
 def brute_force_condition(f, g, h):
     """Condition (*) at lam = 1/2 with h on the halfgrid grid of (f, g).
 
