@@ -450,19 +450,14 @@ class DeficitReport:
 
 
 def deficit(triple: PLTriple) -> DeficitReport:
-    """Normalized deficit of the triple via exact cell sums.
+    """Normalized deficit of the triple via exact cell sums, in any dimension.
 
     Raises:
         DomainError: If ``int f`` or ``int g`` is zero or any integral is
             not finite.
     """
-    return _deficit_report(
-        triple.f.integral(), triple.g.integral(), triple.h.integral(), triple.lam
-    )
-
-
-def _deficit_report(int_f: float, int_g: float, int_h: float, lam: float) -> DeficitReport:
-    """Deficit of a triple from its three integrals, in any dimension."""
+    int_f, int_g, int_h = (gf.integral() for gf in (triple.f, triple.g, triple.h))
+    lam = triple.lam
     for name, val in (("f", int_f), ("g", int_g)):
         if not np.isfinite(val) or val <= 0.0:
             raise DomainError(f"integral of {name} must be positive, got {val}")
