@@ -3,8 +3,10 @@
 The cases are seeded triples from the three ``synth`` families (two
 log-concave functions, two rough functions with hard zeros, and a
 log-concave function with a perturbation of it) at every
-lam in {1/4, 0.3, 1/2, 0.7}, plus two 2D triples built like the
-benchmark's ``reduce_2d`` instances.  For each case the record holds:
+lam in {1/4, 0.3, 1/2, 0.7}, the same families at lam = 0.37, which has
+no p/q with q <= 64 and so pins the float snap rule, and two 2D triples
+built like the benchmark's ``reduce_2d`` instances.  For each case the
+record holds:
 
 * a SHA-256 of each ``sup_convolution`` mode's output (origin, step and
   the raw float64 values),
@@ -37,6 +39,7 @@ from plstab import synth
 REFERENCE_PATH = Path(__file__).with_name("data") / "reference.json"
 
 LAMBDAS = (0.25, 0.3, 0.5, 0.7)
+FLOAT_LAMBDA = 0.37
 STEP = 4e-3
 WINDOW = (-4.0, 4.0)  # 2 000 cells at STEP
 PERTURBATION = 0.1
@@ -132,12 +135,17 @@ def _case_2d(lam: float, eta: float, seed: int) -> dict:
 
 def compute() -> dict:
     """Every reference record, freshly computed from the current code."""
+    families = ("log_concave", "rough", "perturbed")
     cases_1d = []
-    for k, family in enumerate(("log_concave", "rough", "perturbed")):
+    for k, family in enumerate(families):
         for m, lam in enumerate(LAMBDAS):
             cases_1d.append(_case_1d(family, lam, seed=100 * k + m))
+    cases_float = [
+        _case_1d(family, FLOAT_LAMBDA, seed=100 * k + len(LAMBDAS))
+        for k, family in enumerate(families)
+    ]
     cases_2d = [_case_2d(0.5, 0.1, seed=7), _case_2d(0.3, 0.2, seed=8)]
-    return {"cases_1d": cases_1d, "cases_2d": cases_2d}
+    return {"cases_1d": cases_1d, "cases_float": cases_float, "cases_2d": cases_2d}
 
 
 def _plain(obj):

@@ -53,7 +53,7 @@ def reference():
     return json.loads(REFERENCE_PATH.read_text())
 
 
-@pytest.mark.parametrize("kind", ["cases_1d", "cases_2d"])
+@pytest.mark.parametrize("kind", ["cases_1d", "cases_float", "cases_2d"])
 def test_outputs_match_pinned_reference(kind, fresh, reference):
     bad = _mismatches(reference[kind], fresh[kind], kind)
     assert not bad, "\n".join(bad[:20])
@@ -66,6 +66,8 @@ def test_reference_covers_every_family_and_lambda(reference):
         for fam in ("log_concave", "rough", "perturbed")
         for lam in (0.25, 0.3, 0.5, 0.7)
     }
+    floats = {(c["family"], c["lam"]) for c in reference["cases_float"]}
+    assert floats == {(fam, 0.37) for fam in ("log_concave", "rough", "perturbed")}
     assert len(reference["cases_2d"]) == 2
 
 
