@@ -23,13 +23,11 @@ constant (max adjacent difference), so exactly concave data never
 produces false violations at sigma = 0, and points that need no snapping
 get no slack at all.
 
-Snapping follows the package's one tie rule, round half up on an integer
-numerator: when ``lam == p/q`` (``plcore._rational``) each interpolated
-index is an exact fraction ``m / d`` and goes to ``(2m + d) // (2d)``,
-with snap distance ``|m - d*k| / d`` from the same integers.  Other lam
-fall back to ``floor(u + 0.5)`` on the float index.  Both checks evaluate
-all index pairs in row chunks of about ``_CHUNK_PAIRS`` pairs, and their
-``worst`` tuple is the first worst pair in row-major (i, j) order.
+Snapping is the package's one rule, ``plcore._nearest`` (round half up,
+on an integer numerator when ``lam == p/q``), and the snap distance comes
+from the same numerator.  Both checks evaluate all index pairs in row
+chunks of about ``_CHUNK_PAIRS`` pairs, and their ``worst`` tuple is the
+first worst pair in row-major (i, j) order.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridfn import DomainError
-from .plcore import _rational
+from .plcore import _nearest_and_distance, _weights
 from .profiles import LevelProfile
 
 __all__ = [
@@ -239,18 +237,6 @@ def _lipschitz(y: np.ndarray, valid: np.ndarray) -> float:
     return float(adj.max())
 
 
-def _snap_exact(num: np.ndarray, den: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest index to ``num / den`` (ties up) and the numerator of its distance."""
-    k = (2 * num + den) // (2 * den)
-    return k, np.abs(num - den * k)
-
-
-def _snap_float(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``floor(u + 0.5)`` clipped to the grid, and the distance to it."""
-    k = np.clip(np.floor(u + 0.5).astype(np.int64), 0, n - 1)
-    return k, np.abs(u - k)
-
-
 def _row_chunks(lengths: np.ndarray):
     """Bounds ``(r0, r1)`` of consecutive rows holding at most ``_CHUNK_PAIRS``
     pairs (or one row, if that is longer); nothing when there are no pairs."""
@@ -298,11 +284,10 @@ def three_point_check(
     slack is the snap distance times the local Lipschitz constants of the
     half-width samples, so unsnapped grid points get none.
 
-    Snapping: for ``lam == p/q`` (``plcore._rational``) the level index
-    ``m / q`` with ``m = (q-p)*i + p*j`` goes to ``(2m + q) // (2q)``
-    (round half up, exact) and the snap distance is ``|m - q*k| / q``;
-    other lam use ``floor(u + 0.5)`` on the float index.  ``worst`` is the
-    first worst pair in row-major (i, j) order.
+    Snapping: the level index ``(1-lam)*i + lam*j`` goes to its nearest
+    grid index by ``plcore._nearest``; for ``lam == p/q`` that is the
+    numerator ``(q-p)*i + p*j`` over q, rounded half up exactly.
+    ``worst`` is the first worst pair in row-major (i, j) order.
     """
     levels = profile_a.levels
     for other in (profile_b, profile_c):
@@ -329,7 +314,7 @@ def three_point_check(
         float(np.nanmax(np.abs(wb[ub]))) if ub.any() else 0.0,
     )
     guard = 1e-12 * scale
-    pq = _rational(lam)
+    exact, wi, wj, den = _weights(lam, (1, -1), (0, 1), (1, 0))
     count = 0
     checked = 0
     max_excess = 0.0
@@ -338,14 +323,9 @@ def three_point_check(
     j = np.flatnonzero(ub)[None, :]
     for r0, r1 in _row_chunks(np.full(rows.size, j.size)):
         i = rows[r0:r1, None]
-        if pq is None:
-            k, snap = _snap_float((1.0 - lam) * i + lam * j, n)
-        else:
-            p, q = pq
-            k, snap = _snap_exact((q - p) * i + p * j, q)
-            snap = snap / q
+        k, snap, snap_den = _nearest_and_distance(wi * i + wj * j, den, exact)
         ok = ua[k] & ub[k] & uc[k]
-        slack = (la + lb) * snap
+        slack = (la + lb) * (snap / snap_den)
         lhs = (1.0 - lam) * wa[i] + lam * wb[j]
         rhs = (1.0 - lam) * wa[k] + lam * wb[k]
         excess = lhs - rhs - sigma - slack
@@ -380,12 +360,12 @@ def four_point_check(
     the two combinations.  Violations are counted only when all four
     points are valid.
 
-    Snapping: for ``lam == p/q`` (``plcore._rational``) the targets are
-    ``(q*i + (q-p)*j) / D`` and ``((q-p)*i + q*j) / D`` with ``D = 2q - p``;
-    each numerator m goes to ``(2m + D) // (2D)`` (round half up, exact)
-    and the snap distance is ``(|m12 - D*k12| + |m21 - D*k21|) / D``.
-    Other lam use ``floor(u + 0.5)`` on the float targets.  ``worst`` is
-    the first worst pair in row-major (i, j) order.
+    Snapping: both targets go to their nearest grid index by
+    ``plcore._nearest``; for ``lam == p/q`` they are the numerators
+    ``q*i + (q-p)*j`` and ``(q-p)*i + q*j`` over ``D = 2q - p``, rounded
+    half up exactly, with total snap distance ``(|m12 - D*k12| + |m21 -
+    D*k21|) / D``.  ``worst`` is the first worst pair in row-major (i, j)
+    order.
 
     Raises:
         DomainError: If the grid is not uniform or has more than 4096
@@ -410,12 +390,11 @@ def four_point_check(
     lip = _lipschitz(psi, valid)
     idx = np.flatnonzero(valid)
     guard = 1e-12 * (1.0 + float(np.max(np.abs(psi[idx]))) if idx.size else 1.0)
-    pq = _rational(lam)
+    exact, near, far, den = _weights(lam, (1, 0), (1, -1), (2, -1))
     count = 0
     checked = 0
     max_excess = 0.0
     worst = None
-    denom = 2.0 - lam
     # Row r of the upper triangle pairs idx[r] with idx[r:].
     lengths = idx.size - np.arange(idx.size)
     for r0, r1 in _row_chunks(lengths):
@@ -424,18 +403,10 @@ def four_point_check(
         cc = rr + np.arange(rr.size) - np.repeat(np.cumsum(rl) - rl, rl)
         i = idx[rr]
         j = idx[cc]
-        if pq is None:
-            k12, s12 = _snap_float((i + (1.0 - lam) * j) / denom, n)
-            k21, s21 = _snap_float(((1.0 - lam) * i + j) / denom, n)
-            snap = s12 + s21
-        else:
-            p, q = pq
-            d = 2 * q - p
-            k12, s12 = _snap_exact(q * i + (q - p) * j, d)
-            k21, s21 = _snap_exact((q - p) * i + q * j, d)
-            snap = (s12 + s21) / d
+        k12, s12, snap_den = _nearest_and_distance(near * i + far * j, den, exact)
+        k21, s21, _ = _nearest_and_distance(far * i + near * j, den, exact)
         ok = valid[k12] & valid[k21]
-        slack = lip * snap
+        slack = lip * ((s12 + s21) / snap_den)
         excess = psi[i] + psi[j] - psi[k12] - psi[k21] - sigma - slack
         c, nbad, w, top = _tally(excess, ok, guard)
         checked += c

@@ -19,19 +19,18 @@ equal the original d-dimensional integrals (Fubini through the layer-cake
 formula), so the 1D deficit machinery applies verbatim to the reduced
 triple.
 
-The d-dimensional sup-convolution is the 1D snap mode applied per axis
-and runs on the same exact rational-lattice kernel (``plcore._lattice``),
-and the pointwise condition is checked by the 1D check's kernel
-(``plcore._condition_check``), so every dimension shares one tie rule,
-one output-size rule and one slack rule.  The work grows with the number
-of cell pairs, which is capped.
+The d-dimensional sup-convolution is the 1D snap mode applied per axis,
+through the same code (``plcore._sup_convolution``), and the pointwise
+condition is checked by the 1D check's kernel (``plcore._condition_check``),
+so every dimension shares one tie rule (``plcore._nearest``), one
+output-size rule and one slack rule.  The work grows with the number of
+cell pairs, which is capped.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,7 +43,7 @@ from .plcore import (
     _check_lambda,
     _condition_check,
     _positive_cells,
-    _snap,
+    _sup_convolution,
     deficit,
 )
 from .profiles import _superlevel_counts
@@ -154,8 +153,10 @@ class DistributionProfile:
 
     def __call__(self, t: np.ndarray | float) -> np.ndarray | float:
         """Step-function evaluation: ``F(t) = measures[k]`` for the last
-        sampled level <= t; ``measures[0]`` below the first level; 0 above
-        the last."""
+        sampled level <= t; ``measures[0]`` below the first level and
+        ``measures[-1]`` from the last level on.  So F is 0 above the last
+        level whenever that level is at or above the sup norm, as
+        ``reduced_deficit`` builds it."""
         ts = np.asarray(t, dtype=float)
         idx = np.searchsorted(self.levels, ts, side="right") - 1
         out = np.empty(ts.shape, dtype=float)
@@ -187,7 +188,9 @@ def multiplicative_to_additive(profile: DistributionProfile) -> GridFunction:
 
     up to the pad truncation and level discretization.  Sampling uses the
     step-function extension of the profile (right-continuous, constant
-    below the first level, zero above the last).
+    below the first level and from the last level on), so the window
+    holds all the mass only when the last level is at or above the sup
+    norm, where F is 0, as ``reduced_deficit`` builds it.
     """
     lv = profile.levels
     if lv.size < 2:
@@ -211,38 +214,25 @@ def sup_convolution_2d(
 
     Computes ``h(z) = sup f(x)**(1-lam) * g(y)**lam`` over pairs of cell
     centers with ``(1-lam)x + lam*y`` in the cell of z, on a grid with the
-    input steps and origin ``(1-lam)*f.origin + lam*g.origin``.  This is
-    the 1D snap mode applied per axis, through the same kernel: each
-    pair's target is rounded to the nearest cell center on each axis.
-    Its error is an upward bias of order ``step`` per axis (about
-    ``step/2`` times the local slope of h).
+    input steps.  This is snap ``sup_convolution`` applied per axis,
+    through the same code: its checks, origin, zero-input result, tie rule
+    (``plcore._nearest``) and output size.  Its error is an upward bias of
+    order ``step`` per axis (about ``step/2`` times the local slope of h).
 
-    The tie rule and the output size are those of snap
-    ``sup_convolution``, applied on each axis.
-
-    Guarded to at most 4e7 positive pairs.  If either input is
-    identically zero the result is a single zero cell (a warning is
-    emitted).
+    Guarded to at most 4e7 positive pairs.
 
     Raises:
         DomainError: On a dimension or step mismatch or when the instance
             exceeds the guard.
     """
     lam = _check_lambda(lam)
-    if f.values.ndim != g.values.ndim or not np.allclose(f.step, g.step, rtol=1e-12):
-        raise DomainError("sup_convolution_2d requires equal dimensions and steps")
-    origin = tuple((1 - lam) * a + lam * b for a, b in zip(f.origin, g.origin))
     nf = int(np.count_nonzero(f.values))
     ng = int(np.count_nonzero(g.values))
-    if nf == 0 or ng == 0:
-        warnings.warn("sup_convolution_2d of a zero function is zero", stacklevel=2)
-        return GridFunctionND(origin, f.step, np.zeros((1,) * f.values.ndim))
     if nf * ng > _MAX_PAIRS:
         raise DomainError(
             f"too many positive-cell pairs ({nf} * {ng}); the guard is {_MAX_PAIRS}"
         )
-    values = _snap(f.values ** (1.0 - lam), g.values**lam, lam)
-    return GridFunctionND(origin, f.step, values)
+    return _sup_convolution(f, g, lam, "snap", "sup_convolution_2d")
 
 
 @dataclass(frozen=True)

@@ -55,9 +55,9 @@ __all__ = [
 # ``PLTriple.condition_satisfied``.
 _CONDITION_REL_TOL = 1e-12
 
-# Snap settles rounding ties exactly when lam = p/q with q at most this.
+# Snapping settles rounding ties exactly when lam = p/q with q at most this.
 _MAX_LATTICE_DENOMINATOR = 64
-# ... and when its lattice has at most this many cells: a 2D lattice grows
+# Snap builds its lattice only up to this many cells: a 2D lattice grows
 # as q**2 times the output, about 1.2 GB at 192**2 cells with q = 64.
 _MAX_LATTICE_CELLS = 1 << 22
 
@@ -217,7 +217,7 @@ def _condition_check(h, batches):
             yield 0, bad, None
 
 
-# -- sup-convolution -------------------------------------------------------
+# -- the snap rule ---------------------------------------------------------
 
 
 def _rational(lam: float) -> tuple[int, int] | None:
@@ -228,6 +228,47 @@ def _rational(lam: float) -> tuple[int, int] | None:
     r = Fraction(lam).limit_denominator(_MAX_LATTICE_DENOMINATOR)
     p, q = r.numerator, r.denominator
     return (p, q) if p / q == lam else None
+
+
+def _weights(lam: float, *pairs: tuple[int, int]) -> tuple:
+    """Weights ``x0 + x1*lam`` of an interpolated index, one per pair ``(x0, x1)``.
+
+    Returns ``(exact, w1, w2, ...)``.  When ``lam == p/q`` (``_rational``)
+    the weights are the integers ``x0*q + x1*p``, q times the real ones,
+    and ``exact`` is True; otherwise they are the floats ``x0 + x1*lam``.
+    A caller writes its target index as a weighted sum of grid indices
+    over a weighted denominator, so the factor q cancels in ``_nearest``.
+    """
+    pq = _rational(lam)
+    if pq is None:
+        return (False, *(x0 + x1 * lam for x0, x1 in pairs))
+    p, q = pq
+    return (True, *(x0 * q + x1 * p for x0, x1 in pairs))
+
+
+def _nearest(num, den, exact: bool):
+    """The one snap rule: the index nearest to ``num / den``, ties up.
+
+    ``num`` and ``den`` are built from one ``_weights`` call.  Exact
+    (integer) weights round half up on the numerator, ``(2*num + den) //
+    (2*den)``, so ties are settled exactly; float weights use
+    ``floor(num/den + 0.5)``.
+    """
+    if exact:
+        return (2 * num + den) // (2 * den)
+    return np.floor(num / den + 0.5).astype(np.int64)
+
+
+def _nearest_and_distance(num, den, exact: bool):
+    """``_nearest`` and the snap distance ``|num/den - k|`` as a numerator
+    and a denominator (``den`` for exact weights, 1.0 for float ones)."""
+    k = _nearest(num, den, exact)
+    if exact:
+        return k, np.abs(num - den * k), den
+    return k, np.abs(num / den - k), 1.0
+
+
+# -- sup-convolution -------------------------------------------------------
 
 
 def _lattice(fw: np.ndarray, gw: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -264,8 +305,9 @@ def _lattice(fw: np.ndarray, gw: np.ndarray, p: int, q: int) -> np.ndarray:
 def _regroup(lat: np.ndarray, q: int) -> np.ndarray:
     """Cells of the input step from a lattice of step 1/q, on every axis.
 
-    Cell k collects the lattice indices m with ``(2m + q) // (2q) == k``,
-    i.e. the q consecutive indices starting at ``k*q - q//2``.
+    Cell k collects the lattice indices m with ``(2m + q) // (2q) == k``
+    (``_nearest`` on the numerator m over q), i.e. the q consecutive
+    indices starting at ``k*q - q//2``.
     """
     pad = q // 2
     sizes = [(n - 1 + pad) // q + 1 for n in lat.shape]
@@ -275,15 +317,15 @@ def _regroup(lat: np.ndarray, q: int) -> np.ndarray:
     return cells.reshape(split).max(axis=tuple(range(1, 2 * lat.ndim, 2)))
 
 
-def _float_snap(fw: np.ndarray, gw: np.ndarray, lam: float) -> np.ndarray:
-    """Snap by ``floor(u + 0.5)`` on the float offset ``u = (1-lam)*c + lam*d``.
+def _segmented(fw: np.ndarray, gw: np.ndarray, wf, wg, den, exact: bool) -> np.ndarray:
+    """Snap by ``_nearest`` on ``(wf*c + wg*d) / den``, one f cell at a time.
 
-    Works on arrays of any (equal) dimension.  The output is sized by the
-    same rule applied to the extreme pair.
+    Works on arrays of any (equal) dimension and needs no lattice.  The
+    output is sized by the same rule applied to the extreme pair.
     """
     out = np.zeros(
         tuple(
-            int(np.floor((1.0 - lam) * (nf - 1) + lam * (ng - 1) + 0.5)) + 1
+            int(_nearest(wf * (nf - 1) + wg * (ng - 1), den, exact)) + 1
             for nf, ng in zip(fw.shape, gw.shape)
         )
     )
@@ -294,10 +336,10 @@ def _float_snap(fw: np.ndarray, gw: np.ndarray, lam: float) -> np.ndarray:
     # reduceat segmentation of the g axis onto a contiguous run of cells.
     segments = []
     for axis, ng in enumerate(gw.shape):
-        offsets = lam * np.arange(ng, dtype=float)
+        offsets = wg * np.arange(ng)
         segments.append({})
         for i in np.unique(cells[:, axis]).tolist():
-            k = np.floor((1.0 - lam) * i + offsets + 0.5).astype(np.int64)
+            k = _nearest(wf * i + offsets, den, exact)
             starts = np.flatnonzero(np.diff(k, prepend=-1))
             segments[axis][i] = (starts, slice(int(k[0]), int(k[0]) + starts.size))
     for c, w in zip(cells.tolist(), fw[live].tolist()):
@@ -315,25 +357,16 @@ def _float_snap(fw: np.ndarray, gw: np.ndarray, lam: float) -> np.ndarray:
 def _snap(fw: np.ndarray, gw: np.ndarray, lam: float) -> np.ndarray:
     """Snap sup-convolution values of ``fw = f**(1-lam)``, ``gw = g**lam``.
 
-    Exact lattice when ``lam == p/q`` with ``q <= 64`` and the lattice has
-    at most ``_MAX_LATTICE_CELLS`` cells; the float rule otherwise.
+    Both paths snap each pair by ``_nearest`` and return the same values.
+    The lattice runs when ``lam == p/q`` with ``q <= 64`` and it has at
+    most ``_MAX_LATTICE_CELLS`` cells; the segmentation otherwise.
     """
-    pq = _rational(lam)
-    if pq is not None:
-        p, q = pq
-        cells = math.prod(
-            (q - p) * (nf - 1) + p * (ng - 1) + 1 for nf, ng in zip(fw.shape, gw.shape)
-        )
+    exact, wf, wg, den = _weights(lam, (1, -1), (0, 1), (1, 0))
+    if exact:
+        cells = math.prod(wf * (nf - 1) + wg * (ng - 1) + 1 for nf, ng in zip(fw.shape, gw.shape))
         if cells <= _MAX_LATTICE_CELLS:
-            return _regroup(_lattice(fw, gw, p, q), q)
-    return _float_snap(fw, gw, lam)
-
-
-def _snap_mode(f: GridFunction, g: GridFunction, lam: float) -> GridFunction:
-    """Pair enumeration with rounding of targets to cells of the input step."""
-    origin = (1.0 - lam) * f.origin + lam * g.origin
-    values = _snap(f.values ** (1.0 - lam), g.values**lam, lam)
-    return GridFunction(origin, f.step, values)
+            return _regroup(_lattice(fw, gw, wg, den), den)
+    return _segmented(fw, gw, wf, wg, den, exact)
 
 
 def _halfgrid_mode(f: GridFunction, g: GridFunction) -> GridFunction:
@@ -347,6 +380,30 @@ def _halfgrid_mode(f: GridFunction, g: GridFunction) -> GridFunction:
     out = _lattice(f.values**0.5, g.values**0.5, 1, 2)
     origin = 0.5 * (f.origin + g.origin) + 0.25 * f.step
     return GridFunction(origin, 0.5 * f.step, out)
+
+
+def _sup_convolution(f, g, lam: float, mode: str, name: str):
+    """Snap or halfgrid output for grid functions of one dimension d >= 1.
+
+    The body of ``sup_convolution`` and ``multidim.sup_convolution_2d``
+    after their own checks: f and g must have one dimension and equal
+    steps on every axis (1e-12 relative), a zero input gives a single zero
+    cell with a warning, and the snap output has origin ``(1-lam)*f.origin
+    + lam*g.origin`` on every axis.
+    """
+    if f.values.ndim != g.values.ndim or not np.allclose(
+        np.atleast_1d(f.step), np.atleast_1d(g.step), rtol=1e-12, atol=0.0
+    ):
+        raise DomainError(
+            f"{name} requires equal dimensions and steps, got {f.step} and {g.step}"
+        )
+    origin = ((1.0 - lam) * np.asarray(f.origin) + lam * np.asarray(g.origin)).tolist()
+    if not (f.values.any() and g.values.any()):
+        warnings.warn(f"{name} of a zero function is zero", stacklevel=3)
+        return type(f)(origin, f.step, np.zeros((1,) * f.values.ndim))
+    if mode == "halfgrid":
+        return _halfgrid_mode(f, g)
+    return type(f)(origin, f.step, _snap(f.values ** (1.0 - lam), g.values**lam, lam))
 
 
 def sup_convolution(
@@ -371,13 +428,11 @@ def sup_convolution(
             of order ``step**2`` for smooth inputs.
         "auto": "halfgrid" when applicable, otherwise "snap".
 
-    Snap tie rule: a target halfway between two cell centers goes to the
-    upper one (round half up).  When ``lam == p/q`` exactly with ``q <= 64``
-    (and the lattice has at most 2**22 indices) the rule is applied to the
-    integer lattice index ``m = (q-p)*i + p*j`` of the pair, so ties are
-    settled exactly; otherwise it is ``floor(u + 0.5)`` on the float offset
-    ``u = (1-lam)*i + lam*j``.  The output is sized by the same rule
-    applied to the extreme pair.
+    Snap rounds the target offset ``(1-lam)*i + lam*j`` of pair (i, j) by
+    the package's one rule, ``plcore._nearest``: half up, on the integer
+    numerator ``(q-p)*i + p*j`` over q when ``lam == p/q`` with ``q <= 64``
+    (ties settled exactly), by ``floor(u + 0.5)`` otherwise.  The output
+    is sized by the same rule applied to the extreme pair.
 
     Preconditions: equal steps; lam in (0, 1).  If either input is
     identically zero the result is the zero function (a warning is
@@ -390,17 +445,7 @@ def sup_convolution(
         raise DomainError(f"unknown sup_convolution mode {mode!r}")
     if mode == "halfgrid" and lam != 0.5:
         raise DomainError("halfgrid mode requires lam = 1/2")
-    if not np.isclose(f.step, g.step, rtol=1e-12, atol=0.0):
-        raise DomainError(
-            f"sup_convolution requires equal steps, got {f.step} and {g.step}"
-        )
-    if f.is_zero() or g.is_zero():
-        warnings.warn("sup_convolution of a zero function is zero", stacklevel=2)
-        origin = (1.0 - lam) * f.origin + lam * g.origin
-        return GridFunction(origin, f.step, np.zeros(1))
-    if mode == "halfgrid":
-        return _halfgrid_mode(f, g)
-    return _snap_mode(f, g, lam)
+    return _sup_convolution(f, g, lam, mode, "sup_convolution")
 
 
 def canonical_triple(

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .gridfn import DomainError, GridFunction
-from .plcore import PLTriple
+from .plcore import PLTriple, deficit
 
 __all__ = [
     "LevelProfile",
@@ -176,11 +176,9 @@ def good_levels(
             ``tau**(-3/2) * epsilon**(1/4) * int_h`` is used with epsilon
             the measured deficit (clamped at 0).
     """
-    from .plcore import deficit as _deficit
-
     levels = np.asarray(levels, dtype=float)
     if threshold is None:
-        rep = _deficit(triple)
+        rep = deficit(triple)
         threshold = default_good_threshold(triple.tau, rep.epsilon, rep.int_h)
     lam = triple.lam
     mf, mg, mh = (

@@ -36,7 +36,8 @@ from .plcore import (
     DeficitReport,
     PLTriple,
     _check_lambda,
-    _rational,
+    _nearest,
+    _weights,
     deficit,
     quadrature_tol,
     sup_convolution,
@@ -534,21 +535,6 @@ def _fit_envelopes(
     return env, usable
 
 
-def _g_cell_shift(s: np.ndarray, lam: float, step_h: float) -> np.ndarray:
-    """Whole-cell shift of the g term for witness cell shifts ``s``.
-
-    The g term moves by ``(lam - 1) * w`` with ``w = s * step_h / lam``,
-    that is by ``-(q - p) * s / p`` cells when ``lam == p/q``
-    (``plcore._rational``); that fraction is rounded half up on its
-    integer numerator.  Other lam round the float value with ``np.round``.
-    """
-    pq = _rational(lam)
-    if pq is None:
-        return np.round(((lam - 1.0) * (s * step_h / lam)) / step_h)
-    p, q = pq
-    return (2 * (p - q) * s + p) // (2 * p)
-
-
 def stability_decompose(
     triple: PLTriple, config: PipelineConfig | None = None
 ) -> tuple[StabilityReport, GridFunction, GridFunction, GridFunction]:
@@ -698,10 +684,13 @@ def stability_decompose(
     s_min = int(np.floor((t_lo - h_hi) / step_h)) - 1
     s_max = int(np.ceil((t_hi - h_lo) / step_h)) + 1
     stride = max(1, (s_max - s_min + 1) // 512)
+    # The g term moves by (lam - 1) * w, that is by the whole cells nearest
+    # to (lam - 1) * s / lam.
+    exact, back, den = _weights(lam, (-1, 1), (0, 1))
 
     def pair_err(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ef = _l1_shifts(fn, htn, s) / int_h
-        eg = _l1_shifts(gn, htn, _g_cell_shift(s, lam, step_h)) / int_h
+        eg = _l1_shifts(gn, htn, _nearest(back * s, den, exact)) / int_h
         return ef, eg
 
     best_s, _ = _coarse_to_fine(lambda s: np.add(*pair_err(s)), s_min, s_max, stride)

@@ -104,6 +104,17 @@ def test_distribution_profile_step_evaluation():
     np.testing.assert_allclose(prof(np.array([0.5, 2.5])), [6.0, 3.0])
 
 
+def test_distribution_profile_past_last_level():
+    # From the last level on F keeps the last measure; it is 0 there when
+    # the last level is above the sup norm, as reduced_deficit builds it.
+    prof = DistributionProfile(np.array([1.0, 2.0, 3.0]), np.array([5.0, 4.0, 2.0]))
+    assert prof(10.0) == 2.0
+    f = square(1.0, height=2.0)
+    built = distribution(f, np.array([0.5, 1.0, 2.0 * (1 + 1e-12)]))
+    assert built.measures[-1] == 0.0
+    assert built(10.0) == 0.0
+
+
 def test_distribution_profile_validation():
     with pytest.raises(DomainError):
         DistributionProfile(np.array([1.0, 2.0]), np.array([1.0, 2.0]))  # increasing
@@ -246,15 +257,28 @@ def test_supconv_2d_matches_pair_enumeration(p, q):
         _assert_matches(h, f, g, lam, _enumerate_2d(f, g, lam, pq))
 
 
-def test_supconv_2d_over_lattice_cap_uses_float_rule(monkeypatch):
-    # With no room for a lattice, lam = 0.3 takes the float fallback, whose
-    # ties differ from the lattice's on some of these pairs.
+def test_supconv_2d_over_lattice_cap_keeps_exact_rule(monkeypatch):
+    # With no room for a lattice, lam = 0.3 takes the segmentation path,
+    # which still rounds ties half up on the exact lattice index (the float
+    # rule differs from it on some of these pairs).
     monkeypatch.setattr(plcore, "_MAX_LATTICE_CELLS", 0)
     rng = np.random.default_rng(30)
     for _ in range(20):
         f, g = _small_random_2d(rng), _small_random_2d(rng)
         h = sup_convolution_2d(f, g, 0.3)
-        _assert_matches(h, f, g, 0.3, _enumerate_2d(f, g, 0.3, None))
+        _assert_matches(h, f, g, 0.3, _enumerate_2d(f, g, 0.3, (3, 10)))
+
+
+def test_supconv_2d_rejects_tiny_unequal_steps():
+    # Steps below 1e-8 differ as much as larger ones: no absolute slack.
+    f = GridFunction2D((0.0, 0.0), (1e-9, 1e-9), np.ones((2, 2)))
+    g = GridFunction2D((0.0, 0.0), (5e-9, 5e-9), np.ones((2, 2)))
+    with pytest.raises(DomainError, match="equal dimensions and steps"):
+        sup_convolution_2d(f, g, 0.5)
+    f1 = GridFunction(0.0, 1e-9, np.ones(2))
+    g1 = GridFunction(0.0, 5e-9, np.ones(2))
+    with pytest.raises(DomainError, match="equal dimensions and steps"):
+        plcore.sup_convolution(f1, g1, 0.5)
 
 
 # -- deficit_2d -------------------------------------------------------------------

@@ -293,6 +293,33 @@ def test_snap_matches_pair_enumeration(p, q):
         np.testing.assert_allclose(h.values, ref, rtol=8 * np.finfo(float).eps)
 
 
+def test_snap_segmentation_matches_lattice(monkeypatch):
+    # Snap has two paths, picked by lattice size only: with the cap at 0
+    # every p/q takes the segmentation path, which must give the lattice's
+    # values bit for bit (ties included), in 1D and 2D.
+    from plstab import plcore
+
+    rng = np.random.default_rng(64)
+    cases = []
+    for q in range(2, 65):
+        for p in range(1, q):
+            if math.gcd(p, q) == 1:
+                # 1D inputs of 1-40 cells and 2D inputs of 1-8 cells per axis.
+                for top, d in ((41, 1), (9, 2)):
+                    fw, gw = (rng.uniform(0.0, 1.0, n) for n in rng.integers(1, top, (2, d)))
+                    fw[rng.uniform(size=fw.shape) < 0.25] = 0.0
+                    gw[rng.uniform(size=gw.shape) < 0.25] = 0.0
+                    cases.append((p, q, fw, gw, plcore._snap(fw, gw, p / q)))
+    assert len(cases) == 2518
+    monkeypatch.setattr(plcore, "_MAX_LATTICE_CELLS", 0)
+    moved = [
+        (p, q, fw.ndim)
+        for p, q, fw, gw, want in cases
+        if not np.array_equal(plcore._snap(fw, gw, p / q), want)
+    ]
+    assert moved == []
+
+
 def test_halfgrid_matches_pair_enumeration():
     rng = np.random.default_rng(2)
     for _ in range(20):

@@ -411,14 +411,20 @@ def test_pipeline_shift_scan_matches_per_shift_loop(monkeypatch, lam, seed):
     assert rep.err_g == pytest.approx(err_g, rel=1e-9)
 
 
+def _g_cell_shift(s: np.ndarray, lam: float) -> np.ndarray:
+    """Stage 6's whole-cell shift of the g term: nearest to (lam - 1) * s / lam."""
+    from plstab.plcore import _nearest, _weights
+
+    exact, back, den = _weights(lam, (-1, 1), (0, 1))
+    return _nearest(back * s, den, exact)
+
+
 def test_g_cell_shift_rounds_exact_ties_half_up():
     from fractions import Fraction
 
-    from plstab.reconstruct import _g_cell_shift
-
     # lam = 2/5: the g term moves by -3s/2 cells, so every odd s is a tie.
     s = np.arange(-6, 7)
-    assert _g_cell_shift(s, 0.4, 1e-3).tolist() == [
+    assert _g_cell_shift(s, 0.4).tolist() == [
         9, 8, 6, 5, 3, 2, 0, -1, -3, -4, -6, -7, -9
     ]
     # The float expression sends s = -5 (7.5) down to 7 and s = -3 (4.5) to 4.
@@ -427,10 +433,11 @@ def test_g_cell_shift_rounds_exact_ties_half_up():
     for lam in (0.25, 0.3, 0.4, 0.5, 0.7, 5.0 / 6.0):
         exact = Fraction(lam).limit_denominator(64)
         want = [math.floor((exact - 1) * int(k) / exact + Fraction(1, 2)) for k in s]
-        for step_h in (1e-3, 5e-4, 2e-3 / 3):
-            assert _g_cell_shift(s, lam, step_h).tolist() == want
+        # The shift is in cells of h, so it no longer depends on h's step.
+        assert _g_cell_shift(s, lam).tolist() == want
     # At the benchmark's lambdas no value is a tie, so the old float
-    # expression gives the same cells; other lambdas keep that expression.
+    # expression gives the same cells, and so does the float rule that
+    # other lambdas (0.37) use.
     for lam in (0.25, 0.3, 0.5, 0.7, 0.37):
         old = np.round(((lam - 1.0) * (s * 1e-3 / lam)) / 1e-3)
-        assert np.array_equal(_g_cell_shift(s, lam, 1e-3), old)
+        assert np.array_equal(_g_cell_shift(s, lam), old)
