@@ -371,9 +371,26 @@ def four_point_check(
         DomainError: If the grid is not uniform or has more than 4096
             points.
     """
+    return _four_point(T, (psi,), lam, sigma, valid)[0]
+
+
+def _four_point(
+    T: np.ndarray,
+    psis: tuple[np.ndarray, ...],
+    lam: float,
+    sigma: float = 0.0,
+    valid: np.ndarray | None = None,
+) -> list[ViolationReport]:
+    """``four_point_check`` of each of ``psis`` on one grid, one report each.
+
+    The pair geometry (the pairs, their snapped indices and snap
+    distances) is computed once per chunk for all of them.  Each psi keeps
+    its own mask ``valid & isfinite(psi)``, Lipschitz constant, guard and
+    tally, so each report equals ``four_point_check`` of that psi.
+    """
     T = np.asarray(T, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    if T.size != psi.size:
+    psis = [np.asarray(psi, dtype=float) for psi in psis]
+    if any(T.size != psi.size for psi in psis):
         raise DomainError("T and psi must have equal length")
     n = T.size
     if n > _MAX_POINTS:
@@ -383,18 +400,24 @@ def four_point_check(
     dT = np.diff(T)
     if not np.allclose(dT, dT[0], rtol=1e-9, atol=0.0):
         raise DomainError("four_point_check requires a uniform grid")
-    if valid is None:
-        valid = np.isfinite(psi)
-    else:
-        valid = np.asarray(valid, dtype=bool) & np.isfinite(psi)
-    lip = _lipschitz(psi, valid)
-    idx = np.flatnonzero(valid)
-    guard = 1e-12 * (1.0 + float(np.max(np.abs(psi[idx]))) if idx.size else 1.0)
+    if valid is not None:
+        valid = np.asarray(valid, dtype=bool)
+    masks = [np.isfinite(psi) if valid is None else valid & np.isfinite(psi) for psi in psis]
+    # Pairs run over every index some psi uses; a psi whose mask is that
+    # union shares its validity with the geometry.
+    union = np.logical_or.reduce(masks)
+    masks = [union if np.array_equal(m, union) else m for m in masks]
+    lips = [_lipschitz(psi, m) for psi, m in zip(psis, masks)]
+    guards = [
+        1e-12 * (1.0 + float(np.max(np.abs(psi[m]))) if m.any() else 1.0)
+        for psi, m in zip(psis, masks)
+    ]
+    # Invalid samples never reach a tally; zeroing them keeps inf and nan
+    # out of the shared arithmetic.
+    psis = [np.where(m, psi, 0.0) for psi, m in zip(psis, masks)]
     exact, near, far, den = _weights(lam, (1, 0), (1, -1), (2, -1))
-    count = 0
-    checked = 0
-    max_excess = 0.0
-    worst = None
+    tallies = [[0, 0, 0.0, None] for _ in psis]
+    idx = np.flatnonzero(union)
     # Row r of the upper triangle pairs idx[r] with idx[r:].
     lengths = idx.size - np.arange(idx.size)
     for r0, r1 in _row_chunks(lengths):
@@ -405,13 +428,19 @@ def four_point_check(
         j = idx[cc]
         k12, s12, snap_den = _nearest_and_distance(near * i + far * j, den, exact)
         k21, s21, _ = _nearest_and_distance(far * i + near * j, den, exact)
-        ok = valid[k12] & valid[k21]
-        slack = lip * ((s12 + s21) / snap_den)
-        excess = psi[i] + psi[j] - psi[k12] - psi[k21] - sigma - slack
-        c, nbad, w, top = _tally(excess, ok, guard)
-        checked += c
-        count += nbad
-        if top > max_excess:
-            max_excess = top
-            worst = (float(T[i[w]]), float(T[j[w]]), float(T[k12[w]]), float(T[k21[w]]))
-    return ViolationReport(count=count, checked=checked, max_excess=max_excess, worst=worst)
+        snap = (s12 + s21) / snap_den
+        shared = union[k12] & union[k21]
+        for psi, m, lip, guard, tally in zip(psis, masks, lips, guards, tallies):
+            ok = shared if m is union else m[i] & m[j] & m[k12] & m[k21]
+            slack = lip * snap
+            excess = psi[i] + psi[j] - psi[k12] - psi[k21] - sigma - slack
+            c, nbad, w, top = _tally(excess, ok, guard)
+            tally[0] += c
+            tally[1] += nbad
+            if top > tally[2]:
+                tally[2] = top
+                tally[3] = (float(T[i[w]]), float(T[j[w]]), float(T[k12[w]]), float(T[k21[w]]))
+    return [
+        ViolationReport(count=count, checked=checked, max_excess=top, worst=worst)
+        for checked, count, top, worst in tallies
+    ]

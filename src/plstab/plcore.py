@@ -60,6 +60,11 @@ _MAX_LATTICE_DENOMINATOR = 64
 # Snap builds its lattice only up to this many cells: a 2D lattice grows
 # as q**2 times the output, about 1.2 GB at 192**2 cells with q = 64.
 _MAX_LATTICE_CELLS = 1 << 22
+# The lattice verdict of ``condition_satisfied`` runs only while every
+# coordinate is within this many cells of 0: the scan's float targets
+# then err by under 1e-4 cells, far below the 1/128 cell gap its
+# two-window argument needs.
+_MAX_LATTICE_REACH = 1 << 34
 
 
 def _check_lambda(lam: float) -> float:
@@ -135,12 +140,38 @@ class PLTriple:
         of z, so snapping alone can never produce a false violation.  No
         pair is skipped: ``checked`` is the number of positive f cells
         times the number of positive g cells.
+
+        Lattice verdict (``_lattice_verdict``): when f, g and h have equal
+        steps, ``lam == p/q`` with ``q <= 64``, the snap lattice of (f, g)
+        fits under ``_MAX_LATTICE_CELLS`` and h's origin is a whole number
+        t of cells from the snap origin ``(1-lam)*f.origin +
+        lam*g.origin``, every pair is decided at once, in any dimension.
+        On each axis pair (i, j) has the scaled target ``m/q + 1/2 - t``
+        in h's grid, ``m = (q-p)*i + p*j``, and the snap output
+        (``_lattice`` + ``_regroup``) holds the largest right-hand side of
+        the pairs with ``(2m + q) // (2q) == k`` in its cell k.  The target
+        is either an integer (a tie) or at least ``1/(2q)`` from one, so
+        the scan's float ``floor`` lands on h cell ``k - t``, or on ``k -
+        t - 1`` at a tie.  The verdict is "satisfied" when the slack
+        maximum of h on both cells is at least ``M[k] * (1 - 1e-12)`` for
+        every k, on each axis.  It compares the same floats as the scan:
+        both read ``f**(1-lam)`` and ``g**lam`` from one evaluation.
+        Every other case, and every case the verdict does not show
+        satisfied, runs the pair scan, so ``violations``,
+        ``max_violation`` and ``worst_pair`` always come from the scan.
         """
         lam = self.lam
-        fx, fpow = _positive_cells(self.f, 1.0 - lam)
-        gy, gpow = _positive_cells(self.g, lam)
+        fw = self.f.values ** (1.0 - lam)
+        gw = self.g.values**lam
+        fi = np.nonzero(self.f.values > 0)
+        gi = np.nonzero(self.g.values > 0)
+        fpow, gpow = fw[fi], gw[gi]
         if fpow.size == 0 or gpow.size == 0:
             return ConditionReport(True, 0, 0, 0.0, None)
+        checked = fpow.size * gpow.size
+        if _lattice_verdict(self, fw, gw):
+            return ConditionReport(True, checked, 0, 0.0, None)
+        fx, gy = _cell_centers(self.f, fi), _cell_centers(self.g, gi)
         lam_gy = [lam * y for y in gy]
         xs = list(zip(*(x.tolist() for x in fx)))
         # One f cell at a time keeps every temporary at the size of g.
@@ -161,7 +192,7 @@ class PLTriple:
                     worst = (x[0], y[0]) if len(x) == 1 else (x, y)
         return ConditionReport(
             satisfied=violations == 0,
-            checked=fpow.size * gpow.size,
+            checked=checked,
             violations=violations,
             max_violation=max_violation,
             worst_pair=worst,
@@ -171,10 +202,28 @@ class PLTriple:
 def _positive_cells(gf, power: float) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Centers (one array per axis) and ``value**power`` of the positive cells, in C order."""
     idx = np.nonzero(gf.values > 0)
+    return _cell_centers(gf, idx), gf.values[idx] ** power
+
+
+def _cell_centers(gf, idx: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Centers of the cells ``idx`` (one index array per axis), one array per axis."""
     origin = np.atleast_1d(gf.origin).tolist()
     step = np.atleast_1d(gf.step).tolist()
-    centers = tuple(o + s * (i + 0.5) for o, s, i in zip(origin, step, idx))
-    return centers, gf.values[idx] ** power
+    return tuple(o + s * (i + 0.5) for o, s, i in zip(origin, step, idx))
+
+
+def _slack_max(values: np.ndarray) -> np.ndarray:
+    """Maximum of ``values`` over the 3**d cells around each cell, zero outside.
+
+    The result is padded by three zero cells at the end of each axis and
+    read cyclically: a cell k clipped to [-2, n + 1] reads index k, where
+    k = -1 (which wraps) and k = n see the edge cells of ``values``, and
+    k = -2 and k = n + 1 see only padding, that is 0.
+    """
+    out = np.pad(values, [(0, 3)] * values.ndim)
+    for axis in range(out.ndim):
+        out = np.maximum.reduce([out, np.roll(out, 1, axis), np.roll(out, -1, axis)])
+    return out
 
 
 def _condition_check(h, batches):
@@ -193,13 +242,7 @@ def _condition_check(h, batches):
     origin = np.atleast_1d(h.origin).tolist()
     step = np.atleast_1d(h.step).tolist()
     top = [n + 1 for n in h.values.shape]
-    # The slack maximum over cyclic neighbors of h padded by three zero
-    # cells at the end of each axis.  A target cell k clipped to
-    # [-2, n + 1] reads index k: k = -1 (which wraps) and k = n see h's
-    # edge cells, and k = -2 and k = n + 1 see only padding, that is 0.
-    hmax = np.pad(h.values, [(0, 3)] * h.values.ndim)
-    for axis in range(hmax.ndim):
-        hmax = np.maximum.reduce([hmax, np.roll(hmax, 1, axis), np.roll(hmax, -1, axis)])
+    hmax = _slack_max(h.values)
     for z, rhs in batches:
         # In place where possible: in 1D this runs once per f cell.
         cells = []
@@ -354,6 +397,21 @@ def _segmented(fw: np.ndarray, gw: np.ndarray, wf, wg, den, exact: bool) -> np.n
     return out
 
 
+def _lattice_snap(fw: np.ndarray, gw: np.ndarray, lam: float) -> np.ndarray | None:
+    """Snap values of ``fw = f**(1-lam)``, ``gw = g**lam`` on the lattice.
+
+    None unless ``lam == p/q`` with ``q <= 64`` and the lattice has at
+    most ``_MAX_LATTICE_CELLS`` cells.
+    """
+    exact, wf, wg, den = _weights(lam, (1, -1), (0, 1), (1, 0))
+    if not exact:
+        return None
+    cells = math.prod(wf * (nf - 1) + wg * (ng - 1) + 1 for nf, ng in zip(fw.shape, gw.shape))
+    if cells > _MAX_LATTICE_CELLS:
+        return None
+    return _regroup(_lattice(fw, gw, wg, den), den)
+
+
 def _snap(fw: np.ndarray, gw: np.ndarray, lam: float) -> np.ndarray:
     """Snap sup-convolution values of ``fw = f**(1-lam)``, ``gw = g**lam``.
 
@@ -361,25 +419,48 @@ def _snap(fw: np.ndarray, gw: np.ndarray, lam: float) -> np.ndarray:
     The lattice runs when ``lam == p/q`` with ``q <= 64`` and it has at
     most ``_MAX_LATTICE_CELLS`` cells; the segmentation otherwise.
     """
-    exact, wf, wg, den = _weights(lam, (1, -1), (0, 1), (1, 0))
-    if exact:
-        cells = math.prod(wf * (nf - 1) + wg * (ng - 1) + 1 for nf, ng in zip(fw.shape, gw.shape))
-        if cells <= _MAX_LATTICE_CELLS:
-            return _regroup(_lattice(fw, gw, wg, den), den)
-    return _segmented(fw, gw, wf, wg, den, exact)
+    out = _lattice_snap(fw, gw, lam)
+    if out is None:
+        exact, wf, wg, den = _weights(lam, (1, -1), (0, 1), (1, 0))
+        out = _segmented(fw, gw, wf, wg, den, exact)
+    return out
 
 
-def _halfgrid_mode(f: GridFunction, g: GridFunction) -> GridFunction:
-    """Exact midpoint lattice for lam = 1/2 on equal-step grids.
+def _lattice_verdict(triple: PLTriple, fw: np.ndarray, gw: np.ndarray) -> bool:
+    """True when the snap lattice shows condition (*) on every pair.
 
-    Every pair of cell centers (x_i, y_j) has midpoint exactly on a grid of
-    step/2, indexed by m = i + j, so no rounding occurs and the output
-    undershoots the true sup-convolution by at most O(step**2) for smooth
-    inputs (pure sampling error, no snap bias).
+    ``fw = f**(1-lam)`` and ``gw = g**lam`` are the arrays the pair scan
+    reads.  False means "not shown", never "violated": the conditions
+    and the two-window argument are in ``PLTriple.condition_satisfied``.
     """
-    out = _lattice(f.values**0.5, g.values**0.5, 1, 2)
-    origin = 0.5 * (f.origin + g.origin) + 0.25 * f.step
-    return GridFunction(origin, 0.5 * f.step, out)
+    f, g, h, lam = triple.f, triple.g, triple.h, triple.lam
+    step = np.atleast_1d(f.step).tolist()
+    if any(np.atleast_1d(gf.step).tolist() != step for gf in (g, h)):
+        return False
+    origins = (np.atleast_1d(gf.origin).tolist() for gf in (f, g, h))
+    shifts = []
+    for of, og, oh, s, nf, ng in zip(*origins, step, fw.shape, gw.shape):
+        # h's origin in cells from the snap origin must be a whole number;
+        # this checks it, it snaps no interpolated index.
+        far = max(abs(of), abs(og), abs(oh)) / s + nf + ng
+        cells = (oh - ((1.0 - lam) * of + lam * og)) / s
+        if far > _MAX_LATTICE_REACH or abs(cells - round(cells)) > 1e-9:
+            return False
+        shifts.append(round(cells))
+    rhs = _lattice_snap(fw, gw, lam)
+    if rhs is None:
+        return False
+    # The slack maximum on h cells k - t - 1 and k - t of snap cell k, read
+    # with the scan's clip, then the smaller of the two on each axis.
+    index = [
+        np.arange(-t - 1, size - t).clip(-2, n + 1)
+        for t, size, n in zip(shifts, rhs.shape, h.values.shape)
+    ]
+    lhs = _slack_max(h.values)[np.ix_(*index)]
+    for axis in range(lhs.ndim):
+        lo, hi = ([slice(None)] * axis + [sl] for sl in (slice(None, -1), slice(1, None)))
+        lhs = np.minimum(lhs[tuple(lo)], lhs[tuple(hi)])
+    return not (lhs < rhs * (1.0 - _CONDITION_REL_TOL)).any()
 
 
 def _sup_convolution(f, g, lam: float, mode: str, name: str):
@@ -387,9 +468,14 @@ def _sup_convolution(f, g, lam: float, mode: str, name: str):
 
     The body of ``sup_convolution`` and ``multidim.sup_convolution_2d``
     after their own checks: f and g must have one dimension and equal
-    steps on every axis (1e-12 relative), a zero input gives a single zero
-    cell with a warning, and the snap output has origin ``(1-lam)*f.origin
-    + lam*g.origin`` on every axis.
+    steps on every axis (1e-12 relative), and a zero input gives a single
+    zero cell, on the output grid of its mode, with a warning.  The snap
+    output has step ``f.step`` and origin ``(1-lam)*f.origin +
+    lam*g.origin`` on every axis.  The halfgrid output (lam = 1/2, 1D) is
+    the exact midpoint lattice: pair (i, j) has its midpoint on index
+    ``i + j`` of a grid of step ``f.step/2``, so no rounding occurs and
+    the output undershoots the true sup-convolution by at most
+    O(step**2) for smooth inputs (pure sampling error, no snap bias).
     """
     if f.values.ndim != g.values.ndim or not np.allclose(
         np.atleast_1d(f.step), np.atleast_1d(g.step), rtol=1e-12, atol=0.0
@@ -397,13 +483,18 @@ def _sup_convolution(f, g, lam: float, mode: str, name: str):
         raise DomainError(
             f"{name} requires equal dimensions and steps, got {f.step} and {g.step}"
         )
-    origin = ((1.0 - lam) * np.asarray(f.origin) + lam * np.asarray(g.origin)).tolist()
+    if mode == "halfgrid":
+        origin = 0.5 * (f.origin + g.origin) + 0.25 * f.step
+        step = 0.5 * f.step
+    else:
+        origin = ((1.0 - lam) * np.asarray(f.origin) + lam * np.asarray(g.origin)).tolist()
+        step = f.step
     if not (f.values.any() and g.values.any()):
         warnings.warn(f"{name} of a zero function is zero", stacklevel=3)
-        return type(f)(origin, f.step, np.zeros((1,) * f.values.ndim))
+        return type(f)(origin, step, np.zeros((1,) * f.values.ndim))
     if mode == "halfgrid":
-        return _halfgrid_mode(f, g)
-    return type(f)(origin, f.step, _snap(f.values ** (1.0 - lam), g.values**lam, lam))
+        return type(f)(origin, step, _lattice(f.values**0.5, g.values**0.5, 1, 2))
+    return type(f)(origin, step, _snap(f.values ** (1.0 - lam), g.values**lam, lam))
 
 
 def sup_convolution(

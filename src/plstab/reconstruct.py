@@ -53,7 +53,7 @@ from .profiles import (
 )
 from .envelope import (
     EnvelopePair,
-    four_point_check,
+    _four_point,
     greatest_convex_minorant,
     least_concave_majorant,
     monotonize,
@@ -643,11 +643,8 @@ def stability_decompose(
     for name, prof in (("f", rf), ("g", rg)):
         usable = prof.usable()
         if usable.sum() >= 2:
-            fp_b = four_point_check(
-                prof.log_levels, prof.right, lam, sigma=sigma, valid=usable
-            )
-            fp_a = four_point_check(
-                prof.log_levels, -prof.left, lam, sigma=sigma, valid=usable
+            fp_b, fp_a = _four_point(
+                prof.log_levels, (prof.right, -prof.left), lam, sigma, usable
             )
             flags[f"four_point_b_{name}_violations"] = fp_b.count
             flags[f"four_point_a_{name}_violations"] = fp_a.count

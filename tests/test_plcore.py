@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from plstab import (
+    ConditionReport,
     DomainError,
     GridFunction,
+    GridFunctionND,
     IntervalUnion,
     PLTriple,
     amgm_stability,
@@ -22,8 +24,10 @@ from plstab import (
     minkowski_sum,
     quadrature_tol,
     sup_convolution,
+    sup_convolution_2d,
 )
-from plstab.synth import gaussian, indicator, random_log_concave
+from plstab import plcore
+from plstab.synth import gaussian, indicator, random_grid_function, random_log_concave
 
 STEP = 1e-3
 
@@ -332,6 +336,190 @@ def test_halfgrid_matches_pair_enumeration():
         assert h.origin == 0.5 * (f.origin + g.origin) + 0.25 * f.step
         assert h.step == 0.5 * f.step
         np.testing.assert_array_equal(h.values, ref)
+
+
+def test_halfgrid_zero_input_is_on_the_half_step_grid():
+    f = GridFunction(0.0, 0.1, np.ones(3))
+    z = GridFunction(0.0, 0.1, np.zeros(3))
+    h = sup_convolution(f, f, 0.5, mode="halfgrid")
+    with pytest.warns(UserWarning):
+        h0 = sup_convolution(f, z, 0.5, mode="halfgrid")
+    assert h0.is_zero()
+    assert h.step == h0.step == f.step / 2
+    assert h.origin == h0.origin == pytest.approx(0.025, abs=1e-15)
+
+
+# -- the lattice verdict of condition_satisfied ------------------------------------
+
+
+_VERDICT_STEPS = (0.1, 1e-3, 2e-3, 0.37)
+
+
+def _rough(rng, shape):
+    """Values in [0, 1) with about a quarter hard zeros and one positive cell."""
+    v = rng.uniform(0.0, 1.0, shape)
+    v[rng.uniform(size=shape) < 0.25] = 0.0
+    v[tuple(rng.integers(n) for n in shape)] = rng.uniform(0.5, 1.0)
+    return v
+
+
+def _grid(origin, step, values):
+    if values.ndim == 1:
+        return GridFunction(origin[0], step[0], values)
+    return GridFunctionND(tuple(origin), tuple(step), values)
+
+
+def _verdict_cases(rng, d, lam):
+    """Triples at lam whose h is the snap output of (f, g): as it is, with
+    planted dips, with cells scaled to either side of the 1e-12 tolerance,
+    zero-padded (an origin whole cells away, the same function), shifted
+    by whole cells, or cut short on one side of one axis."""
+    for k, step in enumerate(_VERDICT_STEPS):
+        steps = [step] + [_VERDICT_STEPS[(k + a) % 4] for a in range(1, d)]
+        top = 30 if d == 1 else 6
+        f, g = (
+            _grid(rng.uniform(-1.0, 1.0, d).tolist(), steps, _rough(rng, rng.integers(1, top, d)))
+            for _ in range(2)
+        )
+        if d == 1:
+            h = sup_convolution(f, g, lam)
+        else:
+            h = sup_convolution_2d(f, g, lam)
+        origin = np.atleast_1d(h.origin)
+        for variant in ("clean", "dipped", "edge", "padded", "shifted", "short"):
+            hv = h.values.copy()
+            o = origin.copy()
+            if variant in ("dipped", "shifted", "short"):
+                dips = rng.uniform(size=hv.shape) < 0.15
+                hv[dips] *= rng.uniform(0.0, 1.0, int(dips.sum()))
+            if variant in ("edge", "shifted", "short"):
+                hv[rng.uniform(size=hv.shape) < 0.3] *= 1.0 - 1e-13
+            if variant == "edge":
+                hv[rng.uniform(size=hv.shape) < 0.1] *= 1.0 - 5e-12
+            if variant == "padded":
+                pad = rng.integers(0, 3, (d, 2))
+                hv = np.pad(hv, pad.tolist())
+                o = o - pad[:, 0] * np.asarray(steps)
+            if variant == "shifted":
+                o = o + rng.integers(-2, 3, d) * np.asarray(steps)
+            if variant == "short":
+                axis = int(rng.integers(d))
+                n = hv.shape[axis]
+                cut = int(rng.integers(1, n)) if n > 1 else 0
+                if rng.uniform() < 0.5:
+                    hv = np.take(hv, range(cut, n), axis=axis)
+                    o[axis] += cut * steps[axis]
+                else:
+                    hv = np.take(hv, range(n - cut), axis=axis)
+            yield PLTriple(f, g, _grid(o.tolist(), steps, hv), lam)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_lattice_verdict_agrees_with_the_row_scan(monkeypatch, d):
+    # Every reduced p/q with q <= 12: condition_satisfied must give the
+    # forced row scan's report exactly, whatever the verdict decides.
+    real = plcore._lattice_verdict
+    verdicts = []
+
+    def recording(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(plcore, "_lattice_verdict", recording)
+    rng = np.random.default_rng(20 + d)
+    reports = []
+    for p, q in _LATTICE_LAMS:
+        for triple in _verdict_cases(rng, d, p / q):
+            rep = triple.condition_satisfied()
+            with monkeypatch.context() as m:
+                m.setattr(plcore, "_lattice_verdict", lambda *args: False)
+                scan = triple.condition_satisfied()
+            assert rep == scan, (p, q, triple.h.origin)
+            reports.append(rep)
+    assert len(reports) == len(verdicts) == 45 * 4 * 6
+    # Both verdicts and both outcomes occur.
+    assert sum(verdicts) > len(verdicts) // 3
+    assert not all(verdicts)
+    assert 0 < sum(not r.satisfied for r in reports) < len(reports)
+
+
+def _boxes():
+    """A rough 1D pair and a 2D and a 3D box pair, on steps of the verdict tests."""
+    rng = np.random.default_rng(7)
+    f = random_grid_function(rng, step=2e-3, window=(-0.3, 0.5))
+    g = random_grid_function(rng, step=2e-3, window=(-0.6, 0.2))
+    yield f, g
+    for shape in ((7, 5), (4, 3, 5)):
+        d = len(shape)
+        fd = GridFunctionND((0.1,) * d, (0.1, 0.37, 2e-3)[:d], np.ones(shape))
+        gd = GridFunctionND((-0.2,) * d, (0.1, 0.37, 2e-3)[:d], np.ones(shape[::-1]))
+        yield fd, gd
+
+
+@pytest.mark.parametrize("lam", [0.25, 0.3, 0.5, 0.7, 5 / 6])
+def test_canonical_snap_triples_never_reach_the_row_scan(monkeypatch, lam):
+    def refuse(h, batches):
+        raise AssertionError("the row scan ran")
+
+    monkeypatch.setattr(plcore, "_condition_check", refuse)
+    for f, g in _boxes():
+        rep = canonical_triple(f, g, lam, mode="snap").condition_satisfied()
+        pairs = np.count_nonzero(f.values) * np.count_nonzero(g.values)
+        assert rep == ConditionReport(True, pairs, 0, 0.0, None)
+
+
+def test_lattice_verdict_checks_both_cells_of_a_tie():
+    # At lam = 1/2 pair (0, 21) has the exact scaled target 11, a tie, and
+    # the scan's float target falls just below it, into cell 10.  An h
+    # whose only mass is cell 12 covers cell 11 with its slack but not
+    # cell 10, so the pair violates (*) as the scan locates it.
+    f = GridFunction(0.0, 0.1, np.r_[1.0, np.zeros(21)])
+    g = GridFunction(0.0, 0.1, np.r_[np.zeros(21), 1.0])
+    h = GridFunction(0.0, 0.1, np.r_[np.zeros(12), 1.0])
+    rep = PLTriple(f, g, h, 0.5).condition_satisfied()
+    assert (rep.satisfied, rep.violations, rep.checked) == (False, 1, 1)
+    assert rep.worst_pair == (0.05, 2.15)
+
+
+def test_lattice_verdict_declines_outside_its_conditions(monkeypatch):
+    # A constant "roof" at the top of the snap output over a wide window
+    # satisfies (*) wherever it sits; the verdict must still decline it
+    # off the snap grid, and the row scan must decide.
+    f, g = next(_boxes())
+
+    def verdict(triple):
+        lam = triple.lam
+        return plcore._lattice_verdict(triple, f.values ** (1.0 - lam), g.values**lam)
+
+    def scan(triple):
+        with monkeypatch.context() as m:
+            m.setattr(plcore, "_lattice_verdict", lambda *args: False)
+            return triple.condition_satisfied()
+
+    def roof(lam, shift, scale):
+        h = sup_convolution(f, g, lam)
+        step = h.step * scale
+        n = int(h.size / scale) + 8
+        origin = h.origin + (shift - 4) * step
+        return PLTriple(f, g, GridFunction(origin, step, np.full(n, h.sup_norm())), lam)
+
+    assert verdict(roof(0.3, 0.0, 1.0)) and verdict(roof(0.3, 3.0, 1.0))
+    declined = [
+        canonical_triple(f, g, 0.37),
+        roof(0.37, 0.0, 1.0),
+        roof(0.3, 0.3, 1.0),
+        roof(0.3, 1e-6, 1.0),
+        roof(0.3, 0.0, 1.5),
+        roof(0.3, 0.0, 1.0 + 1e-12),
+    ]
+    for triple in declined:
+        assert not verdict(triple)
+        rep = triple.condition_satisfied()
+        assert rep == scan(triple) and rep.satisfied
+    t = canonical_triple(f, g, 0.3)
+    monkeypatch.setattr(plcore, "_MAX_LATTICE_CELLS", 0)
+    assert not verdict(t)
+    assert t.condition_satisfied() == scan(t)
 
 
 # -- deficit ---------------------------------------------------------------------
