@@ -24,7 +24,6 @@ from plstab import (
     minkowski_sum,
     quadrature_tol,
     sup_convolution,
-    sup_convolution_2d,
 )
 from plstab import plcore
 from plstab.synth import gaussian, indicator, random_grid_function, random_log_concave
@@ -381,10 +380,7 @@ def _verdict_cases(rng, d, lam):
             _grid(rng.uniform(-1.0, 1.0, d).tolist(), steps, _rough(rng, rng.integers(1, top, d)))
             for _ in range(2)
         )
-        if d == 1:
-            h = sup_convolution(f, g, lam)
-        else:
-            h = sup_convolution_2d(f, g, lam)
+        h = sup_convolution(f, g, lam)
         origin = np.atleast_1d(h.origin)
         for variant in ("clean", "dipped", "edge", "padded", "shifted", "short"):
             hv = h.values.copy()
