@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from plstab import GridFunction2D, Triple2D, deficit_2d, reduced_deficit
+from plstab import GridFunctionND, PLTriple, deficit, reduced_deficit
 
 FAILS = 0
 
@@ -27,16 +27,16 @@ def main() -> int:
     print("Square indicators: f on [0,1]^2, g on [0,2]^2, h on [0,1.5]^2")
     print("=" * 90)
     step = 0.05
-    f = GridFunction2D((0.0, 0.0), (step, step), np.ones((20, 20)))
-    g = GridFunction2D((0.0, 0.0), (step, step), np.ones((40, 40)))
-    h = GridFunction2D((0.0, 0.0), (step, step), np.ones((30, 30)))
-    d2 = deficit_2d(Triple2D(f, g, h, 0.5))
+    f = GridFunctionND((0.0, 0.0), (step, step), np.ones((20, 20)))
+    g = GridFunctionND((0.0, 0.0), (step, step), np.ones((40, 40)))
+    h = GridFunctionND((0.0, 0.0), (step, step), np.ones((30, 30)))
+    d2 = deficit(PLTriple(f, g, h, 0.5))
     print(f"   2D masses: {d2.int_f:.4f}, {d2.int_g:.4f}, {d2.int_h:.4f}; "
           f"geometric mean {d2.geo_mean:.4f}")
     check(abs(d2.epsilon - 0.125) <= 1e-12, "2D deficit is exactly 1/8",
           f"epsilon = {d2.epsilon:.12f}")
 
-    rep = reduced_deficit(Triple2D(f, g, h, 0.5), n_samples=4000, seed=0)
+    rep = reduced_deficit(PLTriple(f, g, h, 0.5), n_samples=4000, seed=0)
     print(f"   reduced 1D deficit = {rep.epsilon:.6f}; mass error = {rep.mass_error:.2e}")
     print(f"   sampled violations: 2D condition {rep.condition_2d_violations}, "
           f"multiplicative {rep.multiplicative_violations}, "
@@ -52,8 +52,8 @@ def main() -> int:
     s2 = 2 * half / n
     c = -half + s2 * (np.arange(n) + 0.5)
     v = np.exp(-(c**2))
-    fg = GridFunction2D((-half, -half), (s2, s2), np.outer(v, v))
-    rep_g = reduced_deficit(Triple2D(fg, fg, fg, 0.5), level_count=512,
+    fg = GridFunctionND((-half, -half), (s2, s2), np.outer(v, v))
+    rep_g = reduced_deficit(PLTriple(fg, fg, fg, 0.5), level_count=512,
                             n_samples=4000, seed=0)
     print(f"   reduced deficit = {rep_g.epsilon:.3e}; mass error = {rep_g.mass_error:.3e}")
     check(abs(rep_g.epsilon) <= 1e-2, "equality instance reduces to zero deficit")

@@ -15,12 +15,10 @@ from .gridfn import (
     FormatError,
     GridFunction,
     IntervalUnion,
-    common_grid,
     from_samples,
     grid_function,
     l1_distance,
     read_function,
-    resample,
     write_function,
 )
 from .plcore import (
@@ -46,7 +44,6 @@ from .profiles import (
     good_levels,
     level_grid,
     regularize,
-    write_profile_csv,
 )
 from .envelope import (
     EnvelopePair,
@@ -75,7 +72,6 @@ from .diagnostics import (
     check_sup_ratio,
     check_tail_truncation,
     constants_table,
-    write_diagnostics_csv,
 )
 from .multidim import (
     DistributionProfile,
@@ -83,13 +79,10 @@ from .multidim import (
     GridFunctionND,
     ReducedDeficitReport,
     Triple2D,
-    deficit_2d,
     distribution,
     multiplicative_to_additive,
-    read_function_2d,
     reduced_deficit,
     sup_convolution_2d,
-    write_function_2d,
 )
 
 __version__ = "0.1.0"

@@ -3,11 +3,11 @@
 Subcommands
 -----------
 * ``deficit f.json g.json --lam L [--h h.json]``: deficit report as JSON
-  on stdout (canonical h when none is given).
+  on stdout (canonical h when none is given); files of any dimension.
 * ``rearrange f.json [--out out.json]``: symmetric decreasing
-  rearrangement as JSON.
+  rearrangement as JSON (1D).
 * ``reconstruct f.json g.json --lam L [--report out.json]``: run the
-  stability pipeline on the canonical triple; report as JSON.
+  stability pipeline on the canonical triple; report as JSON (1D).
 * ``example1 --etas 0.02,0.04,... [--out csv]``: perturbed-Gaussian
   family; emits per-eta deficit and min-shift L1 distance plus fitted
   scaling constants.
@@ -37,6 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .diagnostics import constants_table
 from .gridfn import (
     DomainError,
     FormatError,
@@ -45,13 +46,11 @@ from .gridfn import (
     from_samples,
     l1_distance,
     read_function,
-    write_function,
 )
 from .plcore import PLTriple, deficit, sup_convolution
 from .rearrange import symmetric_decreasing
 from .reconstruct import (
     PipelineConfig,
-    TheoremConstants,
     _coarse_to_fine,
     is_log_concave,
     log_concave_hull,
@@ -64,7 +63,6 @@ __all__ = [
     "run_example1",
     "run_example2",
     "run_sweep",
-    "run_constants",
     "SweepConfig",
     "Example1Row",
     "Example2Row",
@@ -91,17 +89,16 @@ def _min_shift_l1(g: GridFunction, f: GridFunction, max_shift: float) -> float:
 
 
 def run_example1(
-    etas: Sequence[float],
-    step: float = 1e-3,
-    window: tuple[float, float] = (-4.0, 4.0),
+    etas: Sequence[float], step: float = 1e-3
 ) -> tuple[list[Example1Row], dict]:
     """Deficit and minimal-shift distance for the perturbed Gaussian family.
 
-    For each eta builds ``f(x) = exp(-pi x**2)``, ``g = (1 + eta*phi) f``
-    with the odd bump ``phi(x) = sin(pi x)(1-x**2)**3`` (scaled to max 1),
-    takes the canonical h at lam = 1/2, and measures the deficit epsilon
-    and the minimum-over-shifts L1 distance d between g and f.  Instances
-    where g fails the log-concavity test are skipped and flagged.
+    For each eta builds ``f(x) = exp(-pi x**2)`` on [-4, 4), ``g = (1 +
+    eta*phi) f`` with the odd bump ``phi(x) = sin(pi x)(1-x**2)**3``
+    (scaled to max 1), takes the canonical h at lam = 1/2, and measures
+    the deficit epsilon and the minimum-over-shifts L1 distance d between
+    g and f.  Instances where g fails the log-concavity test are skipped
+    and flagged.
 
     Returns the rows and a summary dict with the fitted constants:
     ``C`` in ``epsilon <= C eta**2``, ``c1`` in ``d >= c1 eta``, and the
@@ -113,7 +110,7 @@ def run_example1(
     for eta in etas:
         if not (0.0 < eta <= 0.2):
             raise DomainError(f"eta must lie in (0, 0.2], got {eta}")
-    f = from_samples(lambda x: np.exp(-math.pi * x**2), window[0], window[1], step)
+    f = from_samples(lambda x: np.exp(-math.pi * x**2), -4.0, 4.0, step)
     centers = f.centers()
     phi = bump_profile(centers)
     rows: list[Example1Row] = []
@@ -319,24 +316,6 @@ def run_sweep(config: SweepConfig) -> list[dict]:
     return rows
 
 
-def run_constants(taus: Sequence[float], omega0: float = 1.0) -> list[dict]:
-    """Constants table rows for the given taus."""
-    rows = []
-    for tau in taus:
-        c = TheoremConstants(tau=float(tau), omega0=omega0)
-        rows.append(
-            {
-                "tau": c.tau,
-                "alpha_tau": c.alpha_tau,
-                "log10_Q": c.log10_Q,
-                "log10_M": c.log10_M,
-                "omega": c.omega,
-                "hypothesis_representable": int(c.hypothesis_representable),
-            }
-        )
-    return rows
-
-
 # -- CSV plumbing ----------------------------------------------------------------
 
 
@@ -522,9 +501,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_constants(args) -> int:
     taus = _parse_floats(args.tau)
-    rows = run_constants(taus, omega0=args.omega0)
     _write_csv(
-        rows,
+        [c.to_json_dict() for c in constants_table(taus, args.omega0)],
         ["tau", "alpha_tau", "log10_Q", "log10_M", "omega", "hypothesis_representable"],
         "constants",
         args.out,

@@ -3,9 +3,9 @@
 Each check measures a quantity on a grid function or triple and compares
 it against an explicit bound, with a grid allowance of ``3 * step *
 sup_norm`` so that discretization alone never produces a false violation.
-Results are plain dataclass rows that serialize to a common CSV layout:
+Results are plain ``CheckRow`` dataclass rows:
 
-    check_name, instance_id, measured, bound, ratio, hypothesis_met
+    check_name, instance_id, measured, bound, ratio, hypothesis_met, passed
 
 * Tail geometry of log-concave functions: near-max superlevel sets are
   not too short, superlevel sets shrink at worst logarithmically, and the
@@ -19,10 +19,8 @@ Results are plain dataclass rows that serialize to a common CSV layout:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +34,6 @@ __all__ = [
     "check_sup_ratio",
     "check_tail_truncation",
     "constants_table",
-    "write_diagnostics_csv",
 ]
 
 
@@ -221,24 +218,3 @@ def check_tail_truncation(
 def constants_table(taus: np.ndarray, omega0: float = 1.0) -> list[TheoremConstants]:
     """Stability constants for each tau in the grid."""
     return [TheoremConstants(tau=float(t), omega0=omega0) for t in np.asarray(taus)]
-
-
-def write_diagnostics_csv(rows: list[CheckRow], path: str | Path) -> None:
-    """Serialize check rows to CSV with the shared column layout."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["check_name", "instance_id", "measured", "bound", "ratio", "hypothesis_met"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.check_name,
-                    row.instance_id,
-                    repr(row.measured),
-                    repr(row.bound),
-                    repr(row.ratio),
-                    str(int(row.hypothesis_met)),
-                ]
-            )

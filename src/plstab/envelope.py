@@ -88,10 +88,6 @@ class EnvelopePair:
         if not np.all(np.diff(self.T) > 0):
             raise DomainError("T must be strictly increasing")
 
-    @property
-    def domain(self) -> tuple[float, float]:
-        return (float(self.T[0]), float(self.T[-1]))
-
 
 def _upper_hull(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vertices of the upper convex hull of points sorted by x.

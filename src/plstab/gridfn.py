@@ -1,4 +1,4 @@
-"""Piecewise-constant grid functions and interval unions on the real line.
+"""Piecewise-constant grid functions, interval unions and grid JSON I/O.
 
 A :class:`GridFunction` represents a nonnegative, compactly supported,
 piecewise-constant function: cell ``i`` is the half-open interval
@@ -12,14 +12,11 @@ Design notes
   rearrangement preserve them to machine precision.
 * Superlevel sets of a grid function are exact unions of cells and are
   returned as an :class:`IntervalUnion`.
-* Binary operations between functions on different grids go through
-  overlap-exact resampling: the resampled cell value is the average of the
-  source function over the target cell, computed from the cumulative
-  integral.  This preserves total mass exactly whenever the target window
-  covers the source support.
-* ``l1_distance`` never resamples: it integrates ``|f - g|`` over the exact
-  common refinement of the two cell partitions, so it is exact for any pair
-  of grids.
+* ``l1_distance`` integrates ``|f - g|`` over the exact common refinement
+  of the two cell partitions, so it is exact for any pair of grids.
+* ``read_function`` and ``write_function`` serialize a grid function of
+  any dimension: ``GridFunction`` in 1D, ``multidim.GridFunctionND`` in
+  d >= 2 dimensions.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ __all__ = [
     "from_samples",
     "read_function",
     "write_function",
-    "resample",
     "l1_distance",
 ]
 
@@ -145,13 +141,6 @@ class GridFunction:
             return (0, 0)
         return (int(pos[0]), int(pos[-1]) + 1)
 
-    def support_hull(self) -> tuple[float, float] | None:
-        """Smallest interval containing the support, or None if zero."""
-        lo, hi = self.support_indices()
-        if lo == hi:
-            return None
-        return (self.origin + lo * self.step, self.origin + hi * self.step)
-
     def is_zero(self) -> bool:
         return bool(np.all(self.values == 0))
 
@@ -189,10 +178,6 @@ class GridFunction:
         snapped = float(np.round(w / self.step)) * self.step
         return GridFunction(self.origin + snapped, self.step, self.values)
 
-    def shift_scale(self, w: float, c: float) -> "GridFunction":
-        """``c * f(. - w)`` with the shift snapped to the grid."""
-        return self.shift(w).scale(c)
-
     def superlevel(self, t: float, strict: bool = True) -> "IntervalUnion":
         """Superlevel set ``{f > t}`` (or ``{f >= t}`` when strict=False).
 
@@ -206,27 +191,14 @@ class GridFunction:
             mask = self.values >= t
         return _mask_to_intervals(mask, self.origin, self.step)
 
-    def superlevel_count(self, t: float, strict: bool = True) -> int:
-        """Number of cells in the superlevel set (exact integer)."""
-        mask = self.values > t if strict else self.values >= t
-        return int(mask.sum())
-
     def superlevel_measure(self, t: float, strict: bool = True) -> float:
         """Measure of the superlevel set as ``count * step``.
 
         Equimeasurable functions (identical value multisets) produce
         bit-identical results here, unlike summing interval lengths.
         """
-        return self.superlevel_count(t, strict) * self.step
-
-    def trimmed(self) -> "GridFunction":
-        """Drop leading/trailing zero cells (keeps one cell if all zero)."""
-        lo, hi = self.support_indices()
-        if lo == hi:
-            return GridFunction(self.origin, self.step, np.zeros(1))
-        return GridFunction(
-            self.origin + lo * self.step, self.step, self.values[lo:hi]
-        )
+        mask = self.values > t if strict else self.values >= t
+        return int(mask.sum()) * self.step
 
     def padded(self, left_cells: int, right_cells: int) -> "GridFunction":
         """Extend the window by zero cells on each side."""
@@ -252,9 +224,7 @@ def grid_function(origin: float, step: float, values: Iterable[float]) -> GridFu
     return GridFunction(origin, step, _as_float_array(values))
 
 
-def from_samples(
-    fn, lo: float, hi: float, step: float, clip_negative: bool = False
-) -> GridFunction:
+def from_samples(fn, lo: float, hi: float, step: float) -> GridFunction:
     """Sample a callable at cell centers over ``[lo, hi)``.
 
     Args:
@@ -262,16 +232,16 @@ def from_samples(
         lo: Left edge of the window.
         hi: Right edge of the window (last cell may overhang by < step).
         step: Cell width.
-        clip_negative: Clamp tiny negative samples to zero instead of failing.
+
+    Raises:
+        DomainError: If the window is invalid or a sample is negative or
+            not finite.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
         raise DomainError(f"invalid window [{lo}, {hi})")
     n = int(np.ceil((hi - lo) / step - 1e-12))
     centers = lo + step * (np.arange(n) + 0.5)
-    vals = np.asarray(fn(centers), dtype=float)
-    if clip_negative:
-        vals = np.maximum(vals, 0.0)
-    return GridFunction(lo, step, vals)
+    return GridFunction(lo, step, np.asarray(fn(centers), dtype=float))
 
 
 def _mask_to_intervals(mask: np.ndarray, origin: float, step: float) -> "IntervalUnion":
@@ -344,56 +314,15 @@ class IntervalUnion:
             return 0.0
         return (h[1] - h[0]) - self.measure()
 
-    def contains(self, x: float) -> bool:
-        return any(a <= x < b for a, b in self.intervals)
-
-    def issubset(self, other: "IntervalUnion", tol: float = 0.0) -> bool:
+    def issubset(self, other: "IntervalUnion") -> bool:
         """True if every interval fits inside some interval of ``other``."""
         for a, b in self.intervals:
-            if not any(
-                oa - tol <= a and b <= ob + tol for oa, ob in other.intervals
-            ):
+            if not any(oa <= a and b <= ob for oa, ob in other.intervals):
                 return False
         return True
 
 
-# -- resampling and exact L1 distance -----------------------------------
-
-
-def resample(f: GridFunction, origin: float, step: float, size: int) -> GridFunction:
-    """Resample ``f`` onto a new uniform grid by exact cell averaging.
-
-    Each target cell receives the average of ``f`` over that cell, computed
-    from the piecewise-linear cumulative integral of ``f``.  The operation
-    is mass-exact: whenever the target window covers the support of ``f``,
-    the integral is preserved up to rounding.
-    """
-    if size <= 0:
-        raise DomainError("size must be positive")
-    if not (np.isfinite(step) and step > 0):
-        raise DomainError(f"step must be positive and finite, got {step}")
-    src_edges = f.edges()
-    cum = np.concatenate([[0.0], np.cumsum(f.values) * f.step])
-    tgt_edges = origin + step * np.arange(size + 1)
-    cum_at = np.interp(tgt_edges, src_edges, cum, left=0.0, right=cum[-1])
-    vals = np.diff(cum_at) / step
-    vals = np.maximum(vals, 0.0)
-    return GridFunction(origin, step, vals)
-
-
-def common_grid(f: GridFunction, g: GridFunction) -> tuple[GridFunction, GridFunction]:
-    """Resample both functions onto one shared grid covering both windows.
-
-    Uses the finer of the two steps and f's grid offset.  When the grids are
-    already commensurate (equal steps, offset a whole number of cells) the
-    resampling is exact.
-    """
-    step = min(f.step, g.step)
-    lo = min(f.window[0], g.window[0])
-    hi = max(f.window[1], g.window[1])
-    lo = f.origin + np.floor((lo - f.origin) / step) * step
-    size = int(np.ceil((hi - lo) / step - 1e-9))
-    return (resample(f, lo, step, size), resample(g, lo, step, size))
+# -- exact L1 distance ----------------------------------------------------
 
 
 def _refined(f: GridFunction, m: int) -> GridFunction:
@@ -478,14 +407,20 @@ def l1_distance(f: GridFunction, g: GridFunction) -> float:
 # -- JSON I/O -------------------------------------------------------------
 
 
-def _read_grid(path: str | Path, ndim: int, cls: type):
-    """Load a grid function of ``ndim`` dimensions from a JSON file.
+def read_function(path: str | Path):
+    """Load a grid function of any dimension from a JSON file, validating every field.
 
-    In 1D origin and step are numbers, otherwise lists of ``ndim``
-    numbers, and values are nested lists of depth ``ndim``.  The JSON
-    shape and element types are checked here; ``cls(origin, step,
-    values)`` checks the numbers, and its ``DomainError`` is raised again
-    as a ``FormatError`` naming the file.
+    The file's ``origin`` sets the dimension: a number means 1D and gives
+    a ``GridFunction``; a list of d >= 2 numbers gives a
+    ``multidim.GridFunctionND``.  Then ``step`` is a number or a list of d
+    numbers, and ``values`` is a list nested d deep.  The JSON shape and
+    element types are checked here; the class checks the numbers, and its
+    ``DomainError`` is raised again as a ``FormatError`` naming the file.
+
+    Raises:
+        FormatError: On a missing key, a ragged row or a negative or
+            non-finite value; the message names the row or the cell.
+        OSError: If the file cannot be read.
     """
     path = Path(path)
     try:
@@ -497,6 +432,8 @@ def _read_grid(path: str | Path, ndim: int, cls: type):
     for key in ("origin", "step", "values"):
         if key not in payload:
             raise FormatError(f"{path}: missing key '{key}'")
+    origin = payload["origin"]
+    ndim = len(origin) if isinstance(origin, list) and len(origin) > 1 else 1
     axes = []
     for key in ("origin", "step"):
         items = payload[key] if ndim > 1 else [payload[key]]
@@ -523,23 +460,16 @@ def _read_grid(path: str | Path, ndim: int, cls: type):
             raise FormatError(
                 f"{path}: value at index {_index_label(cell)} is not a number: {v!r}"
             )
+    if ndim == 1:
+        cls = GridFunction
+    else:
+        from .multidim import GridFunctionND as cls  # multidim imports this module
     try:
         return cls(*axes, np.array(values, dtype=float).reshape(shape))
     except DomainError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def read_function(path: str | Path) -> GridFunction:
-    """Load a grid function from a JSON file, validating every field.
-
-    Raises:
-        FormatError: On a missing key or a negative/non-finite value; the
-            message names the offending index.
-        OSError: If the file cannot be read.
-    """
-    return _read_grid(path, 1, GridFunction)
-
-
-def write_function(f: GridFunction, path: str | Path) -> None:
-    """Serialize a grid function to JSON (full float precision)."""
+def write_function(f, path: str | Path) -> None:
+    """Serialize a grid function of any dimension to JSON (full float precision)."""
     Path(path).write_text(json.dumps(f.to_json_dict()) + "\n")

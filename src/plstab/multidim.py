@@ -1,8 +1,11 @@
 """Triples in d >= 2 dimensions and their reduction to one dimension.
 
-A d-dimensional triple is a ``PLTriple`` of ``GridFunctionND`` functions
-(``Triple2D`` and ``GridFunction2D`` are the 2D names of the same
-classes), and its deficit is ``plcore.deficit``.  A triple satisfying the
+A d-dimensional triple is a ``PLTriple`` of ``GridFunctionND`` functions,
+and its deficit is ``plcore.deficit``; ``Triple2D`` and ``GridFunction2D``
+are the only other names of these classes.  ``gridfn.read_function`` and
+``gridfn.write_function`` are the JSON reader and writer of every
+dimension: the reader returns a ``GridFunctionND`` when the file's
+``origin`` is a list of d >= 2 numbers.  A triple satisfying the
 interpolated condition induces, through the distribution functions
 ``F(t) = volume{f > t}``, a *multiplicative* triple on the level axis:
 
@@ -29,18 +32,17 @@ cell pairs, which is capped.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .gridfn import DomainError, GridFunction, _frozen_values, _read_grid
+from .gridfn import DomainError, GridFunction, _frozen_values
 from .plcore import (
     DeficitReport,
     PLTriple,
     _check_lambda,
+    _check_reach,
     _condition_check,
     _positive_cells,
     _sup_convolution,
@@ -58,8 +60,6 @@ __all__ = [
     "sup_convolution_2d",
     "reduced_deficit",
     "ReducedDeficitReport",
-    "read_function_2d",
-    "write_function_2d",
 ]
 
 # Size guard for the sup-convolution, whose work grows with the pairs.
@@ -127,7 +127,6 @@ class GridFunctionND:
 
 GridFunction2D = GridFunctionND
 Triple2D = PLTriple
-deficit_2d = deficit
 
 
 @dataclass(frozen=True)
@@ -289,7 +288,8 @@ def _sample_condition_2d(triple: PLTriple, n_samples: int, seed: int) -> int:
     Draws ``min(n_samples, number of pairs)`` seeded pairs of positive
     cells, with replacement, and checks them with the kernel of
     ``PLTriple.condition_satisfied``: one cell of slack per axis, the 3**d
-    cells around each target.
+    cells around each target.  Raises ``DomainError`` where that check
+    does (``plcore._check_reach``).
     """
     lam = triple.lam
     rng = np.random.default_rng(seed)
@@ -297,6 +297,7 @@ def _sample_condition_2d(triple: PLTriple, n_samples: int, seed: int) -> int:
     gy, gpow = _positive_cells(triple.g, lam)
     if fpow.size == 0 or gpow.size == 0:
         return 0
+    _check_reach(triple)
     na = min(n_samples, fpow.size * gpow.size)
     ia = rng.integers(0, fpow.size, size=na)
     ib = rng.integers(0, gpow.size, size=na)
@@ -321,7 +322,9 @@ def reduced_deficit(
     fatal: they quantify the discretization of each implication.
 
     Raises:
-        DomainError: If f or g is identically zero.
+        DomainError: If f or g is identically zero, or if a target of the
+            pointwise condition can lie more than 2**52 cells of h from
+            h's origin.
     """
     d2 = deficit(triple)
     sups = [triple.f.sup_norm(), triple.g.sup_norm(), triple.h.sup_norm()]
@@ -370,21 +373,3 @@ def reduced_deficit(
         brunn_minkowski_violations=bm_viol,
         mass_error=mass_err,
     )
-
-
-# -- JSON I/O -------------------------------------------------------------------
-
-
-def read_function_2d(path: str | Path) -> GridFunctionND:
-    """Load a 2D grid function from JSON with full validation.
-
-    Raises:
-        FormatError: On a missing key, a ragged row or a negative or
-            non-finite value; the message names the row or the cell.
-        OSError: If the file cannot be read.
-    """
-    return _read_grid(path, 2, GridFunctionND)
-
-
-def write_function_2d(f: GridFunctionND, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(f.to_json_dict()) + "\n")

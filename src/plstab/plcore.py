@@ -65,6 +65,10 @@ _MAX_LATTICE_CELLS = 1 << 22
 # then err by under 1e-4 cells, far below the 1/128 cell gap its
 # two-window argument needs.
 _MAX_LATTICE_REACH = 1 << 34
+# The condition checks locate targets only within this many cells of h's
+# origin: beyond it a double no longer resolves a cell, and the int64 cast
+# of the cell index can overflow.
+_MAX_SCAN_REACH = 1 << 52
 
 
 def _check_lambda(lam: float) -> float:
@@ -159,6 +163,10 @@ class PLTriple:
         Every other case, and every case the verdict does not show
         satisfied, runs the pair scan, so ``violations``,
         ``max_violation`` and ``worst_pair`` always come from the scan.
+
+        Raises:
+            DomainError: If a target can lie more than 2**52 cells of h
+                from h's origin (``_check_reach``).
         """
         lam = self.lam
         fw = self.f.values ** (1.0 - lam)
@@ -169,6 +177,7 @@ class PLTriple:
         if fpow.size == 0 or gpow.size == 0:
             return ConditionReport(True, 0, 0, 0.0, None)
         checked = fpow.size * gpow.size
+        _check_reach(self)
         if _lattice_verdict(self, fw, gw):
             return ConditionReport(True, checked, 0, 0.0, None)
         fx, gy = _cell_centers(self.f, fi), _cell_centers(self.g, gi)
@@ -197,6 +206,31 @@ class PLTriple:
             max_violation=max_violation,
             worst_pair=worst,
         )
+
+
+def _check_reach(triple: PLTriple) -> None:
+    """Raise ``DomainError`` when a target of the condition check can lie
+    more than ``_MAX_SCAN_REACH`` cells of h from h's origin.
+
+    The targets ``(1-lam)*x + lam*y`` lie between the combinations of the
+    window ends of f and g, so one comparison per axis bounds them all.
+    """
+    lam = triple.lam
+    f, g, h = triple.f, triple.g, triple.h
+    axes = zip(
+        *(np.atleast_1d(gf.origin).tolist() for gf in (f, g, h)),
+        *(np.atleast_1d(gf.step).tolist() for gf in (f, g, h)),
+        f.values.shape,
+        g.values.shape,
+    )
+    for of, og, oh, sf, sg, sh, nf, ng in axes:
+        lo = (1.0 - lam) * of + lam * og - oh
+        reach = max(abs(lo), abs(lo + (1.0 - lam) * nf * sf + lam * ng * sg))
+        if reach > _MAX_SCAN_REACH * sh:
+            raise DomainError(
+                f"condition check targets lie up to {reach} from h's origin, "
+                f"beyond the reach of 2**52 cells of step {sh}"
+            )
 
 
 def _positive_cells(gf, power: float) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -471,9 +505,9 @@ def _sup_convolution(f, g, lam: float, mode: str, name: str):
     steps on every axis (1e-12 relative), and a zero input gives a single
     zero cell, on the output grid of its mode, with a warning.  The snap
     output has step ``f.step`` and origin ``(1-lam)*f.origin +
-    lam*g.origin`` on every axis.  The halfgrid output (lam = 1/2, 1D) is
-    the exact midpoint lattice: pair (i, j) has its midpoint on index
-    ``i + j`` of a grid of step ``f.step/2``, so no rounding occurs and
+    lam*g.origin`` on every axis.  The halfgrid output (lam = 1/2) is the
+    exact midpoint lattice: on each axis pair (i, j) has its midpoint on
+    index ``i + j`` of a grid of step ``f.step/2``, so no rounding occurs and
     the output undershoots the true sup-convolution by at most
     O(step**2) for smooth inputs (pure sampling error, no snap bias).
     """
@@ -483,11 +517,12 @@ def _sup_convolution(f, g, lam: float, mode: str, name: str):
         raise DomainError(
             f"{name} requires equal dimensions and steps, got {f.step} and {g.step}"
         )
+    fo, go, fs = (np.asarray(v) for v in (f.origin, g.origin, f.step))
     if mode == "halfgrid":
-        origin = 0.5 * (f.origin + g.origin) + 0.25 * f.step
-        step = 0.5 * f.step
+        origin = (0.5 * (fo + go) + 0.25 * fs).tolist()
+        step = (0.5 * fs).tolist()
     else:
-        origin = ((1.0 - lam) * np.asarray(f.origin) + lam * np.asarray(g.origin)).tolist()
+        origin = ((1.0 - lam) * fo + lam * go).tolist()
         step = f.step
     if not (f.values.any() and g.values.any()):
         warnings.warn(f"{name} of a zero function is zero", stacklevel=3)

@@ -19,9 +19,7 @@ levels.  The downstream reconstruction pipeline
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +34,6 @@ __all__ = [
     "good_levels",
     "regularize",
     "build_bubble",
-    "write_profile_csv",
 ]
 
 
@@ -295,23 +292,3 @@ def build_bubble(
         mask = (centers >= ak) & (centers < bk)
         out[mask] = t
     return GridFunction(lo, step, out)
-
-
-def write_profile_csv(profile: LevelProfile, path: str | Path) -> None:
-    """Write a profile as CSV with one row per level.
-
-    Columns: level, log_level, left, right, hull_deficit, valid.
-    Empty levels leave left/right/hull_deficit blank; valid is 0/1.
-    """
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "log_level", "left", "right", "hull_deficit", "valid"])
-        for k in range(profile.levels.size):
-            lv = profile.levels[k]
-            row = [repr(float(lv)), repr(float(np.log(lv)))]
-            for arr in (profile.left, profile.right, profile.hull_deficit):
-                v = arr[k]
-                row.append("" if np.isnan(v) else repr(float(v)))
-            row.append(str(int(profile.valid[k])))
-            writer.writerow(row)

@@ -47,8 +47,11 @@ def symmetric_decreasing(f: GridFunction) -> GridFunction:
     grid is reproduced cell-exactly.
 
     Raises:
-        DomainError: If ``f`` has zero integral (nothing to rearrange).
+        DomainError: If ``f`` is not one-dimensional or has zero integral
+            (nothing to rearrange).
     """
+    if f.values.ndim != 1:
+        raise DomainError(f"rearrangement works in one dimension, got {f.values.ndim}")
     if f.integral() <= 0.0:
         raise DomainError("rearrangement requires a function with positive integral")
     n = f.size

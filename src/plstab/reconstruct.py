@@ -553,11 +553,16 @@ def stability_decompose(
         to the recovered shift).
 
     Raises:
-        DomainError: If the quadrature tolerance ``quadrature_tol(f, g)``
-            is not below the geometric mean of the masses (too few cells
-            for the deficit to be checked), or if the deficit is negative
-            beyond that tolerance or is not finite.
+        DomainError: If the triple is not one-dimensional, if the
+            quadrature tolerance ``quadrature_tol(f, g)`` is not below the
+            geometric mean of the masses (too few cells for the deficit to
+            be checked), or if the deficit is negative beyond that
+            tolerance or is not finite.
     """
+    if triple.f.values.ndim != 1:
+        raise DomainError(
+            f"stability_decompose works in one dimension, got {triple.f.values.ndim}"
+        )
     if config is None:
         config = PipelineConfig()
     flags: dict = {}

@@ -6,9 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from plstab import read_function, write_function
+from plstab import GridFunctionND, read_function, write_function
 from plstab.cli import main
 from plstab.synth import gaussian, indicator
+
+
+def square(n, step=0.05):
+    return GridFunctionND((0.0, 0.0), (step, step), np.ones((n, n)))
 
 
 def write_pair(tmp_path, f, g):
@@ -67,6 +71,20 @@ def test_deficit_malformed_json_exit_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_deficit_reads_2d_files(tmp_path, capsys):
+    # f = 1 on [0,1]^2, g = 1 on [0,2]^2 and h = 1 on [0,1.5]^2: eps = 1/8.
+    pf, pg = write_pair(tmp_path, square(20), square(40))
+    ph = tmp_path / "h.json"
+    write_function(square(30), ph)
+    assert main(["deficit", pf, pg, "--h", str(ph), "--lam", "0.5"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["epsilon"] == pytest.approx(0.125, abs=1e-12)
+    # The canonical h is the 2D halfgrid: 1 on 59 x 59 cells of step 0.025.
+    assert main(["deficit", pf, pg, "--lam", "0.5"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["epsilon"] == pytest.approx((59 * 0.025) ** 2 / 2.0 - 1.0, rel=1e-12)
+
+
 # -- rearrange --------------------------------------------------------------------
 
 
@@ -85,6 +103,13 @@ def test_rearrange_two_bump_to_box(tmp_path, capsys):
     assert main(["rearrange", str(src)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"origin", "step", "values"}
+
+
+def test_rearrange_2d_file_exit_2(tmp_path, capsys):
+    src = tmp_path / "f.json"
+    write_function(square(4), src)
+    assert main(["rearrange", str(src)]) == 2
+    assert "one dimension, got 2" in capsys.readouterr().err
 
 
 # -- reconstruct --------------------------------------------------------------------
@@ -123,6 +148,13 @@ def test_reconstruct_reports_nine_keys(tmp_path, capsys):
     assert json.loads(report_path.read_text()) == rep
     assert abs(rep["epsilon"]) <= 1e-3
     assert rep["err_f"] + rep["err_g"] + rep["err_h"] <= 0.2
+
+
+def test_reconstruct_2d_files_exit_2(tmp_path, capsys):
+    pf, pg = write_pair(tmp_path, square(4), square(6))
+    for lam in ("0.5", "0.3"):
+        assert main(["reconstruct", pf, pg, "--lam", lam]) == 2
+        assert "one dimension, got 2" in capsys.readouterr().err
 
 
 # -- example families ---------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Lemma-level numerical checks: tail geometry, sup-norm ratio control,
 truncation bounds, and the constants table."""
 
-import csv
 import math
 
 import numpy as np
@@ -18,7 +17,6 @@ from plstab import (
     deficit,
     from_samples,
     grid_function,
-    write_diagnostics_csv,
 )
 from plstab.synth import gaussian, indicator
 
@@ -158,7 +156,7 @@ def test_truncation_eta_domain():
         check_tail_truncation(tb, 0.1)
 
 
-# -- constants_table and CSV --------------------------------------------------------
+# -- constants_table ---------------------------------------------------------------
 
 
 def test_constants_table_grid():
@@ -172,27 +170,3 @@ def test_constants_table_grid():
     # log10_M decreases as tau grows (smaller tau, larger constant).
     ms = [c.log10_M for c in rows]
     assert all(a > b for a, b in zip(ms, ms[1:]))
-
-
-def test_diagnostics_csv_round_trip(tmp_path):
-    rows = check_logconcave_tails(gaussian(0.0, 1.0, 1.0, step=STEP), "g")
-    rows.append(
-        check_sup_ratio(
-            canonical_triple(
-                indicator(0.0, 1.0, 1.0, STEP), indicator(0.0, 2.0, 1.0, STEP), 0.5
-            ),
-            "boxes",
-        )
-    )
-    out = tmp_path / "checks.csv"
-    write_diagnostics_csv(rows, out)
-    with out.open() as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        body = list(reader)
-    assert header == ["check_name", "instance_id", "measured", "bound", "ratio", "hypothesis_met"]
-    assert len(body) == len(rows)
-    for rec, row in zip(body, rows):
-        assert rec[0] == row.check_name
-        assert float(rec[2]) == pytest.approx(row.measured, rel=1e-15)
-        assert rec[5] in ("0", "1")

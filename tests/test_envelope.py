@@ -195,8 +195,7 @@ def test_envelope_pair_validation():
     T = np.array([0.0, 1.0, 2.0])
     lower = np.array([-1.0, -1.0, -1.0])
     upper = np.array([1.0, 1.0, 1.0])
-    env = EnvelopePair(T, lower, upper)
-    assert env.domain == (0.0, 2.0)
+    EnvelopePair(T, lower, upper)
     with pytest.raises(DomainError):
         EnvelopePair(np.array([0.0, 0.0, 1.0]), lower, upper)
     with pytest.raises(DomainError):

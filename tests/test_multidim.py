@@ -3,6 +3,8 @@ reduction to an additive 1D triple."""
 
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -16,13 +18,13 @@ from plstab import (
     PLTriple,
     deficit,
     Triple2D,
-    deficit_2d,
     distribution,
     multiplicative_to_additive,
-    read_function_2d,
+    read_function,
     reduced_deficit,
+    sup_convolution,
     sup_convolution_2d,
-    write_function_2d,
+    write_function,
 )
 from plstab import plcore
 from plstab.multidim import DistributionProfile
@@ -269,6 +271,33 @@ def test_supconv_2d_over_lattice_cap_keeps_exact_rule(monkeypatch):
         _assert_matches(h, f, g, 0.3, _enumerate_2d(f, g, 0.3, (3, 10)))
 
 
+@pytest.mark.parametrize("mode", ["halfgrid", "auto"])
+def test_halfgrid_2d_matches_pair_enumeration(mode):
+    # Pair (a, b) + (c, d) has its midpoint at index (a + c, b + d) of the
+    # half-step grid, so every pair lands on a cell exactly.
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        f, g = _small_random_2d(rng), _small_random_2d(rng)
+        h = sup_convolution(f, g, 0.5, mode=mode)
+        ref = np.zeros(tuple(nf + ng - 1 for nf, ng in zip(f.shape, g.shape)))
+        vals = np.multiply.outer(f.values**0.5, g.values**0.5)
+        a, b, c, d = np.indices(vals.shape)
+        np.maximum.at(ref, ((a + c).ravel(), (b + d).ravel()), vals.ravel())
+        assert h.origin == tuple(0.5 * (x + y) + 0.25 * 0.01 for x, y in zip(f.origin, g.origin))
+        assert h.step == (0.005, 0.005)
+        np.testing.assert_array_equal(h.values, ref)
+
+
+def test_halfgrid_2d_zero_input():
+    f = square(1.0, step=0.1)
+    z = GridFunction2D((0.5, -0.5), (0.1, 0.1), np.zeros((3, 3)))
+    with pytest.warns(UserWarning, match="zero"):
+        h = sup_convolution(f, z, 0.5, mode="auto")
+    assert h.origin == (0.5 * 0.5 + 0.25 * 0.1, 0.5 * -0.5 + 0.25 * 0.1)
+    assert h.step == (0.05, 0.05)
+    np.testing.assert_array_equal(h.values, np.zeros((1, 1)))
+
+
 def test_supconv_2d_rejects_tiny_unequal_steps():
     # Steps below 1e-8 differ as much as larger ones: no absolute slack.
     f = GridFunction2D((0.0, 0.0), (1e-9, 1e-9), np.ones((2, 2)))
@@ -281,14 +310,14 @@ def test_supconv_2d_rejects_tiny_unequal_steps():
         plcore.sup_convolution(f1, g1, 0.5)
 
 
-# -- deficit_2d -------------------------------------------------------------------
+# -- deficit in 2D ----------------------------------------------------------------
 
 
 def test_deficit_2d_squares_exact():
     f = square(1.0, step=0.05)
     g = square(2.0, step=0.05)
     h = GridFunction2D((0.0, 0.0), (0.05, 0.05), np.ones((30, 30)))  # [0,1.5]^2
-    rep = deficit_2d(Triple2D(f, g, h, 0.5))
+    rep = deficit(Triple2D(f, g, h, 0.5))
     assert rep.int_f == pytest.approx(1.0)
     assert rep.int_g == pytest.approx(4.0)
     assert rep.geo_mean == pytest.approx(2.0)
@@ -307,14 +336,14 @@ def test_deficit_2d_rejects_zero_mass():
     z = GridFunction2D((0.0, 0.0), (0.1, 0.1), np.zeros((3, 3)))
     f = square(1.0)
     with pytest.raises(DomainError):
-        deficit_2d(Triple2D(z, f, f, 0.5))
+        deficit(Triple2D(z, f, f, 0.5))
 
 
 def test_deficit_2d_rejects_infinite_h_mass():
     f = square(1.0)
     h = GridFunction2D((0.0, 0.0), (0.1, 0.1), np.full((3, 3), 1e308))
     with np.errstate(over="ignore"), pytest.raises(DomainError, match="integral of h"):
-        deficit_2d(Triple2D(f, f, h, 0.5))
+        deficit(Triple2D(f, f, h, 0.5))
 
 
 # -- reduced_deficit ----------------------------------------------------------------
@@ -362,6 +391,18 @@ def test_reduction_rejects_zero():
         reduced_deficit(Triple2D(z, z, z, 0.5))
 
 
+def test_reduction_rejects_targets_beyond_the_reach():
+    # Targets 5e9 from h's origin are 5e159 cells of step 1e-150 away: no
+    # float resolves such a cell, so the sampled check refuses the triple
+    # instead of reading an overflowed index.
+    f = GridFunction2D((0.0, 0.0), (1e-150, 1e-150), np.ones((4, 4)))
+    g = GridFunction2D((1e10, 0.0), (1e-150, 1e-150), np.ones((4, 4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"2\*\*52 cells"):
+            reduced_deficit(Triple2D(f, g, f, 0.5), n_samples=100)
+
+
 def test_reduction_condition_reads_zero_beyond_a_short_h():
     # h covers only [0, 0.5)^2: targets past it must read 0, exactly as
     # when h is zero-padded to the grid of f.
@@ -402,39 +443,48 @@ def test_boxes_in_three_dimensions():
     assert rep.mass_error <= 1e-5
 
 
-# -- 2D JSON I/O -----------------------------------------------------------------
+# -- JSON I/O in every dimension ------------------------------------------------
 
 
-def test_2d_json_round_trip(tmp_path):
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_json_round_trip_any_dimension(tmp_path, d):
     rng = np.random.default_rng(2)
-    f = GridFunction2D((-1.0, 2.0), (0.125, 0.25), rng.uniform(0, 1, (5, 7)))
-    p = tmp_path / "f2.json"
-    write_function_2d(f, p)
-    g = read_function_2d(p)
+    shape = (5, 7, 3)[:d]
+    if d == 1:
+        f = GridFunction(-1.0, 0.125, rng.uniform(0, 1, shape))
+    else:
+        f = GridFunctionND((-1.0, 2.0, 0.5)[:d], (0.125, 0.25, 0.5)[:d], rng.uniform(0, 1, shape))
+    p = tmp_path / "f.json"
+    write_function(f, p)
+    g = read_function(p)
+    assert type(g) is type(f)
     assert g.origin == f.origin
     assert g.step == f.step
     np.testing.assert_array_equal(g.values, f.values)
 
 
-def test_2d_json_errors_name_cell(tmp_path):
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_json_errors_name_cell_any_dimension(tmp_path, d):
     p = tmp_path / "bad.json"
-    p.write_text(json.dumps({
-        "origin": [0.0, 0.0],
-        "step": [0.1, 0.1],
-        "values": [[1.0, 2.0], [3.0, -4.0]],
-    }))
-    with pytest.raises(FormatError, match=r"\(1, 1\)"):
-        read_function_2d(p)
-    p.write_text(json.dumps({
-        "origin": [0.0, 0.0],
-        "step": [0.1, 0.1],
-        "values": [[1.0, 2.0], [3.0]],
-    }))
-    with pytest.raises(FormatError, match="row 1"):
-        read_function_2d(p)
+    origin, step = ([0.0] * d, [0.1] * d) if d > 1 else (0.0, 0.1)
+    values = np.ones((2,) * d)
+    values[(1,) * d] = -4.0
+    label = "1" if d == 1 else re.escape(str((1,) * d))
+    p.write_text(json.dumps({"origin": origin, "step": step, "values": values.tolist()}))
+    with pytest.raises(FormatError, match=f"index {label} is negative"):
+        read_function(p)
+    if d > 1:
+        ragged = np.ones((2,) * d).tolist()
+        ragged[1] = ragged[1][:1]
+        p.write_text(json.dumps({"origin": origin, "step": step, "values": ragged}))
+        with pytest.raises(FormatError, match="row 1"):
+            read_function(p)
+        p.write_text(json.dumps({"origin": origin, "step": 0.1, "values": values.tolist()}))
+        with pytest.raises(FormatError, match=f"step must be a list of {d} numbers"):
+            read_function(p)
     p.write_text("not json")
     with pytest.raises(FormatError):
-        read_function_2d(p)
-    p.write_text(json.dumps({"origin": [0.0, 0.0], "step": [0.1, 0.1]}))
+        read_function(p)
+    p.write_text(json.dumps({"origin": origin, "step": step}))
     with pytest.raises(FormatError, match="values"):
-        read_function_2d(p)
+        read_function(p)

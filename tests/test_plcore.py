@@ -2,6 +2,7 @@
 Minkowski sums, sumset stability, and AM-GM stability."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,18 @@ def test_condition_reads_zero_beyond_a_short_h():
     rep = PLTriple(f, f, short, 0.5).condition_satisfied()
     assert (rep.violations, rep.checked) == (4851, 10_000)
     assert rep == PLTriple(f, f, padded, 0.5).condition_satisfied()
+
+
+def test_condition_rejects_targets_beyond_the_reach():
+    # The targets lie 5e9 from h's origin, 5e309 cells of step 1e-300: their
+    # cell index overflows a double, so the check refuses the triple before
+    # any cast.
+    f = GridFunction(0.0, 1e-300, np.ones(4))
+    g = GridFunction(1e10, 1e-300, np.ones(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"2\*\*52 cells"):
+            PLTriple(f, g, f, 0.5).condition_satisfied()
 
 
 def brute_force_condition(f, g, h):

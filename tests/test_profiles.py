@@ -1,7 +1,5 @@
 """Level profiles: extraction, good levels, regularization, bubble rebuild."""
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,6 @@ from plstab import (
     l1_distance,
     quadrature_tol,
     regularize,
-    write_profile_csv,
 )
 from plstab.profiles import LevelProfile, level_grid
 from plstab.synth import gaussian, indicator, random_grid_function
@@ -446,23 +443,3 @@ def test_freiman_linkage_on_near_equal_level_sets():
         rep = freiman_check(f.superlevel(t), g.superlevel(t))
         if rep.hypothesis_met:
             assert rep.conclusion_holds
-
-
-# -- CSV output ---------------------------------------------------------------------
-
-
-def test_profile_csv_round_trip_values(tmp_path):
-    f = indicator(0.0, 1.0, 1.0, 0.01)
-    p = extract_profile(f, np.array([0.5, 2.0]))
-    path = tmp_path / "profile.csv"
-    write_profile_csv(p, path)
-    with path.open() as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["level", "log_level", "left", "right", "hull_deficit", "valid"]
-    assert len(rows) == 3
-    assert float(rows[1][0]) == 0.5
-    assert float(rows[1][2]) == pytest.approx(0.0)
-    assert float(rows[1][3]) == pytest.approx(1.0)
-    assert rows[1][5] == "1"
-    # The empty level serializes blanks and valid=0.
-    assert rows[2][2] == "" and rows[2][5] == "0"

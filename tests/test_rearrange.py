@@ -62,7 +62,7 @@ def test_equimeasurable_at_every_level():
         for t in levels:
             # Count-based measures agree bit-exactly for equimeasurable pairs.
             assert fs.superlevel_measure(t) == f.superlevel_measure(t)
-            assert fs.superlevel_count(t, strict=False) == f.superlevel_count(
+            assert fs.superlevel_measure(t, strict=False) == f.superlevel_measure(
                 t, strict=False
             )
 
