@@ -42,6 +42,7 @@ from .gridfn import (
     DomainError,
     FormatError,
     GridFunction,
+    _dumps,
     _l1_shifts,
     from_samples,
     l1_distance,
@@ -259,14 +260,17 @@ class SweepConfig:
             ("lam", float),
             ("step", float),
             ("level_count", int),
+            ("window", lambda w: (float(w[0]), float(w[1]))),
         ):
-            if key in payload:
-                kwargs[key] = cast(payload[key])
-        if "window" in payload:
-            w = payload["window"]
-            if not (isinstance(w, list) and len(w) == 2):
+            if key not in payload:
+                continue
+            value = payload[key]
+            if key == "window" and not (isinstance(value, list) and len(value) == 2):
                 raise FormatError(f"{path}: window must be [lo, hi]")
-            kwargs["window"] = (float(w[0]), float(w[1]))
+            try:
+                kwargs[key] = cast(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise FormatError(f"{path}: bad value for {key!r}: {value!r} ({exc})") from exc
         return SweepConfig(**kwargs)
 
 
@@ -413,7 +417,7 @@ def _cmd_deficit(args) -> int:
 def _cmd_rearrange(args) -> int:
     f = read_function(args.f)
     fs = symmetric_decreasing(f)
-    text = json.dumps(fs.to_json_dict()) + "\n"
+    text = _dumps(fs.to_json_dict()) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -453,7 +457,7 @@ def _cmd_example1(args) -> int:
         "example1",
         args.out,
     )
-    sys.stderr.write(json.dumps(summary, sort_keys=True) + "\n")
+    sys.stderr.write(_dumps(summary, sort_keys=True) + "\n")
     return 0
 
 

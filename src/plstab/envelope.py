@@ -32,12 +32,11 @@ first worst pair in row-major (i, j) order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gridfn import DomainError
+from .gridfn import DomainError, _dumps
 from .plcore import _nearest_and_distance, _weights
 from .profiles import LevelProfile
 
@@ -220,7 +219,7 @@ class ViolationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return _dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _lipschitz(y: np.ndarray, valid: np.ndarray) -> float:

@@ -22,6 +22,7 @@ Design notes
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -149,10 +150,14 @@ class GridFunction:
     def __call__(self, x: np.ndarray | float) -> np.ndarray | float:
         """Evaluate at points (0 outside the window)."""
         xs = np.asarray(x, dtype=float)
-        idx = np.floor((xs - self.origin) / self.step).astype(np.int64)
+        # Only points within a cell of the window are located: a far
+        # point's cell index can overflow the division and the int64 cast.
+        lo, hi = self.window
+        near = (xs >= lo - self.step) & (xs < hi + self.step)
+        idx = np.floor((xs[near] - self.origin) / self.step).astype(np.int64)
         inside = (idx >= 0) & (idx < self.size)
         out = np.zeros_like(xs, dtype=float)
-        out[inside] = self.values[idx[inside]]
+        out[near] = np.where(inside, self.values[idx.clip(0, self.size - 1)], 0.0)
         if np.isscalar(x):
             return float(out)
         return out
@@ -407,6 +412,22 @@ def l1_distance(f: GridFunction, g: GridFunction) -> float:
 # -- JSON I/O -------------------------------------------------------------
 
 
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float, in nested dicts and lists, as None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
+def _dumps(obj, **kwargs) -> str:
+    """Strict JSON text of ``obj``: non-finite floats (which JSON lacks) become null."""
+    return json.dumps(_finite_or_null(obj), allow_nan=False, **kwargs)
+
+
 def read_function(path: str | Path):
     """Load a grid function of any dimension from a JSON file, validating every field.
 
@@ -472,4 +493,4 @@ def read_function(path: str | Path):
 
 def write_function(f, path: str | Path) -> None:
     """Serialize a grid function of any dimension to JSON (full float precision)."""
-    Path(path).write_text(json.dumps(f.to_json_dict()) + "\n")
+    Path(path).write_text(_dumps(f.to_json_dict()) + "\n")

@@ -25,7 +25,6 @@ This module provides:
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -35,7 +34,7 @@ from typing import Literal
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .gridfn import DomainError, GridFunction, IntervalUnion
+from .gridfn import DomainError, GridFunction, IntervalUnion, _dumps
 
 __all__ = [
     "PLTriple",
@@ -431,8 +430,82 @@ def _segmented(fw: np.ndarray, gw: np.ndarray, wf, wg, den, exact: bool) -> np.n
     return out
 
 
-def _lattice_snap(fw: np.ndarray, gw: np.ndarray, lam: float) -> np.ndarray | None:
-    """Snap values of ``fw = f**(1-lam)``, ``gw = g**lam`` on the lattice.
+def _level_rows(v: np.ndarray):
+    """Peak and level rows of a 1D array: None unless it is unimodal.
+
+    ``v`` is unimodal when it equals the smaller of its prefix and suffix
+    maxima.  Then each superlevel set ``{v >= u}`` is one block of cells,
+    and every block holds the peak ``p = argmax(v)``.  Returns ``(p,
+    rise, fall)``: ``rise`` keeps v on the left ends of the blocks (the
+    first cell of each run of equal values in ``[0, p]``) and ``fall`` on
+    their right ends (the last cell of each run in ``[p, n)``), zero
+    elsewhere.
+    """
+    if not np.array_equal(
+        v, np.minimum(np.maximum.accumulate(v), np.maximum.accumulate(v[::-1])[::-1])
+    ):
+        return None
+    peak = int(np.argmax(v))
+    step = np.diff(v)
+    rise = np.where(np.concatenate(([True], step != 0)), v, 0.0)
+    rise[peak + 1 :] = 0.0
+    fall = np.where(np.concatenate((step != 0, [True])), v, 0.0)
+    fall[:peak] = 0.0
+    return peak, rise, fall
+
+
+def _level_split(fw: np.ndarray, gw: np.ndarray, pairs):
+    """Sup-convolution of 1D unimodal inputs from the ends of their level blocks.
+
+    ``pairs(rows, d0, d1)`` is the mode's output, at full size, of the
+    pairs of the positive cells of ``rows`` (an array like ``fw``) with g
+    cells ``d0 .. d1 - 1``.  Returns None, leaving the call to the whole
+    lattice or segmentation, unless fw and gw are 1D and unimodal
+    (``_level_rows``).
+
+    The output is theirs, bit for bit (threshold decomposition; Maragos
+    and Schafer, IEEE Trans. ASSP 35, 1987).  Pair (c, d) lands on cell
+    ``_nearest(wf*c + wg*d, den, exact)``.  For f block i and g block j, a
+    monotone path of pairs from their left ends ``(lo_i, lo_j)`` to their
+    right ends ``(hi_i, hi_j)`` moves the target by ``wf`` or ``wg`` per
+    step, each below ``den``, so the pairs of the two blocks fill every
+    cell from ``L_ij``, the cell of the left ends, to ``R_ij``, that of
+    the right ends, with the product ``u_i*u_j`` of the block values at
+    least.  Every block pair's cells contain those of the top pair, so a
+    cell k is covered by a pair with ``L_ij <= k`` whenever k is left of
+    the top cells and by one with ``R_ij >= k`` whenever k is right of
+    them: the output is ``min(A, B)``, with A the running maximum over
+    cells of the left-end products and B the reversed running maximum of
+    the right-end products.  A left end ``lo_i`` is the first cell of a
+    run at or before f's peak, and any pair of such a cell with a g cell
+    at or before g's peak has a block pair, of the same product, whose
+    left ends land no later; so A is the running maximum of ``pairs(rise,
+    0, peak_g + 1)``, and B likewise of ``pairs(fall, peak_g, n_g)``.
+    Each row of f is then one block end against one part of g: 1/8 to
+    1/4 of the whole kernel's pair operations on the pipeline's bubbles
+    (511 levels on 2 000 to 4 000 cells), about 1/2 on a smooth bump.
+    """
+    if fw.ndim != 1:
+        return None
+    split_f = _level_rows(fw)
+    split_g = None if split_f is None else _level_rows(gw)
+    if split_g is None:
+        return None
+    (_, rise, fall), peak_g = split_f, split_g[0]
+    left = np.maximum.accumulate(pairs(rise, 0, peak_g + 1))
+    right = np.maximum.accumulate(pairs(fall, peak_g, gw.size)[::-1])[::-1]
+    return np.minimum(left, right)
+
+
+def _placed(part: np.ndarray, offset: int, size: int) -> np.ndarray:
+    """``part`` at ``offset`` in ``size`` zeros."""
+    out = np.zeros(size)
+    out[offset : offset + part.size] = part
+    return out
+
+
+def _lattice_weights(fw: np.ndarray, gw: np.ndarray, lam: float) -> tuple[int, int] | None:
+    """``(p, q)`` of the snap lattice of ``fw`` and ``gw``.
 
     None unless ``lam == p/q`` with ``q <= 64`` and the lattice has at
     most ``_MAX_LATTICE_CELLS`` cells.
@@ -441,21 +514,38 @@ def _lattice_snap(fw: np.ndarray, gw: np.ndarray, lam: float) -> np.ndarray | No
     if not exact:
         return None
     cells = math.prod(wf * (nf - 1) + wg * (ng - 1) + 1 for nf, ng in zip(fw.shape, gw.shape))
-    if cells > _MAX_LATTICE_CELLS:
-        return None
-    return _regroup(_lattice(fw, gw, wg, den), den)
+    return (wg, den) if cells <= _MAX_LATTICE_CELLS else None
+
+
+def _lattice_snap(fw: np.ndarray, gw: np.ndarray, lam: float) -> np.ndarray | None:
+    """Snap values of ``fw = f**(1-lam)``, ``gw = g**lam`` on the lattice,
+    or None where ``_lattice_weights`` is None."""
+    pq = _lattice_weights(fw, gw, lam)
+    return None if pq is None else _regroup(_lattice(fw, gw, *pq), pq[1])
 
 
 def _snap(fw: np.ndarray, gw: np.ndarray, lam: float) -> np.ndarray:
     """Snap sup-convolution values of ``fw = f**(1-lam)``, ``gw = g**lam``.
 
-    Both paths snap each pair by ``_nearest`` and return the same values.
-    The lattice runs when ``lam == p/q`` with ``q <= 64`` and it has at
-    most ``_MAX_LATTICE_CELLS`` cells; the segmentation otherwise.
+    Both kernels snap each pair by ``_nearest`` and return the same
+    values.  The lattice runs when ``lam == p/q`` with ``q <= 64`` and it
+    has at most ``_MAX_LATTICE_CELLS`` cells; the segmentation otherwise.
+    On 1D unimodal inputs the kernel runs only over the ends of the level
+    blocks (``_level_split``).
     """
-    out = _lattice_snap(fw, gw, lam)
+    exact, wf, wg, den = _weights(lam, (1, -1), (0, 1), (1, 0))
+    lattice = _lattice_weights(fw, gw, lam) is not None
+
+    def pairs(rows, d0, d1):
+        if lattice:
+            size = wf * (rows.size - 1) + wg * (gw.size - 1) + 1
+            return _regroup(_placed(_lattice(rows, gw[d0:d1], wg, den), wg * d0, size), den)
+        return _segmented(rows, _placed(gw[d0:d1], d0, gw.size), wf, wg, den, exact)
+
+    out = _level_split(fw, gw, pairs)
     if out is None:
-        exact, wf, wg, den = _weights(lam, (1, -1), (0, 1), (1, 0))
+        out = _lattice_snap(fw, gw, lam)
+    if out is None:
         out = _segmented(fw, gw, wf, wg, den, exact)
     return out
 
@@ -528,7 +618,12 @@ def _sup_convolution(f, g, lam: float, mode: str, name: str):
         warnings.warn(f"{name} of a zero function is zero", stacklevel=3)
         return type(f)(origin, step, np.zeros((1,) * f.values.ndim))
     if mode == "halfgrid":
-        return type(f)(origin, step, _lattice(f.values**0.5, g.values**0.5, 1, 2))
+        fw, gw = f.values**0.5, g.values**0.5
+        size = fw.shape[0] + gw.shape[0] - 1
+        out = _level_split(
+            fw, gw, lambda rows, d0, d1: _placed(_lattice(rows, gw[d0:d1], 1, 2), d0, size)
+        )
+        return type(f)(origin, step, _lattice(fw, gw, 1, 2) if out is None else out)
     return type(f)(origin, step, _snap(f.values ** (1.0 - lam), g.values**lam, lam))
 
 
@@ -559,6 +654,15 @@ def sup_convolution(
     numerator ``(q-p)*i + p*j`` over q when ``lam == p/q`` with ``q <= 64``
     (ties settled exactly), by ``floor(u + 0.5)`` otherwise.  The output
     is sized by the same rule applied to the extreme pair.
+
+    Level blocks: in every mode, when both inputs are 1D and unimodal
+    (every superlevel set one interval, as the pipeline's bubbles and
+    log-concave functions are), the kernel pairs only the left ends of
+    f's level blocks with g up to its peak and the right ends with g from
+    its peak, and combines the two running maxima (``_level_split``).
+    The output is the whole kernel's, bit for bit, at a fraction of its
+    pair operations: 1/8 to 1/4 on the pipeline's bubbles and about 1/2
+    on a smooth bump.  Every other input runs the whole kernel.
 
     Preconditions: equal steps; lam in (0, 1).  If either input is
     identically zero the result is the zero function (a warning is
@@ -617,7 +721,7 @@ class DeficitReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return _dumps(self.to_json_dict(), sort_keys=True)
 
 
 def deficit(triple: PLTriple) -> DeficitReport:

@@ -249,7 +249,11 @@ def build_bubble(
 
     so that ``superlevel(fbar, t)`` reproduces ``(a(t), b(t))`` up to one
     cell at every recorded level at or above the floor.  Values are
-    quantized to the level grid by construction.
+    quantized to the level grid by construction.  Regularization makes
+    ``a_k`` nondecreasing and ``b_k`` nonincreasing in the level, so the
+    output is unimodal by construction: every superlevel set is one
+    interval of cells.  Stage 3 of ``stability_decompose`` relies on it:
+    ``sup_convolution`` takes its level split only on unimodal inputs.
 
     Args:
         profile: A regularized profile.
@@ -261,7 +265,8 @@ def build_bubble(
     the zero function on the fallback window.
 
     Raises:
-        DomainError: If the profile is not regularized.
+        DomainError: If the profile is not regularized, or its usable
+            intervals are not nested.
     """
     if not profile.regularized:
         raise DomainError("build_bubble requires a regularized profile")
@@ -269,6 +274,8 @@ def build_bubble(
     lv = profile.levels[keep]
     a = profile.left[keep]
     b = profile.right[keep]
+    if np.any(np.diff(a) < 0) or np.any(np.diff(b) > 0):
+        raise DomainError("build_bubble requires nested intervals (regularize the profile)")
     if keep.any():
         lo, hi = float(a.min()), float(b.max())
     else:
@@ -286,9 +293,10 @@ def build_bubble(
         step = (hi - lo) / 2048.0 if hi > lo else 1.0
     n = max(1, int(np.ceil((hi - lo) / step - 1e-9)))
     centers = lo + step * (np.arange(n) + 0.5)
-    out = np.zeros(n)
-    # Levels ascend, intervals are nested: later (higher) levels overwrite.
-    for t, ak, bk in zip(lv, a, b):
-        mask = (centers >= ak) & (centers < bk)
-        out[mask] = t
-    return GridFunction(lo, step, out)
+    # Levels ascend and the intervals are nested, so the levels whose
+    # interval holds a center are the first min(#{a_k <= x}, #{b_k > x}).
+    inside = np.minimum(
+        np.searchsorted(a, centers, side="right"),
+        np.searchsorted(-b, -centers, side="left"),
+    )
+    return GridFunction(lo, step, np.concatenate(([0.0], lv))[inside])

@@ -24,14 +24,13 @@ which commensurate ``l1_distance`` is shift 0 (rounding ~ eps * mass).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
 
-from .gridfn import DomainError, GridFunction, _l1_shifts, l1_distance
+from .gridfn import DomainError, GridFunction, _dumps, _l1_shifts, l1_distance
 from .plcore import (
     DeficitReport,
     PLTriple,
@@ -505,7 +504,7 @@ class StabilityReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return _dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _fit_envelopes(

@@ -246,6 +246,24 @@ def test_sweep_config_errors(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "absent.json")]) == 3
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n_seeds", "x"),
+        ("seed", [1]),
+        ("lam", "half"),
+        ("step", None),
+        ("level_count", math.inf),
+        ("window", ["a", 1.0]),
+    ],
+)
+def test_sweep_config_bad_value_exit_3(tmp_path, capsys, key, value):
+    cfg = sweep_config(tmp_path, **{key: value})
+    assert main(["sweep", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+
+
 # -- constants ---------------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,23 @@ def test_call_inside_and_outside():
     f = grid_function(0.0, 0.5, np.array([1.0, 2.0]))
     x = np.array([-0.1, 0.0, 0.49, 0.5, 0.99, 1.0, 3.0])
     assert np.array_equal(f(x), [0.0, 1.0, 1.0, 2.0, 2.0, 0.0, 0.0])
+
+
+def test_call_far_points_read_zero_without_warning():
+    f = GridFunction(0.0, 1e-300, np.ones(4))
+    x = np.array([1e10, -1e10, 1.5e-300, 5e-300, np.inf, -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert f(1e10) == 0.0
+        assert np.array_equal(f(x), [0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    # Near the window the values are the direct formula's, edges included.
+    rng = np.random.default_rng(5)
+    g = grid_function(-1.0, 0.1, rng.uniform(0.5, 1.0, 20))
+    x = np.concatenate((rng.uniform(-1.5, 1.5, 500), g.edges(), np.nextafter(g.edges(), -9)))
+    idx = np.floor((x - g.origin) / g.step).astype(np.int64)
+    inside = (idx >= 0) & (idx < g.size)
+    want = np.where(inside, g.values[idx.clip(0, g.size - 1)], 0.0)
+    assert np.array_equal(g(x), want)
 
 
 # -- shifts and scaling --------------------------------------------------------

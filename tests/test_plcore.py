@@ -361,6 +361,122 @@ def test_halfgrid_zero_input_is_on_the_half_step_grid():
     assert h.origin == h0.origin == pytest.approx(0.025, abs=1e-15)
 
 
+# -- the level split ----------------------------------------------------------------
+
+
+def _unimodal_steps(rng, cells, levels):
+    """A unimodal step function: nested blocks of ascending random values,
+    plateaus and repeated ends included, hard zeros at both ends."""
+    v = np.zeros(cells)
+    lo = np.sort(rng.integers(1, cells // 2 + 1, levels))
+    hi = np.sort(rng.integers(cells // 2, cells - 1, levels))[::-1]
+    if rng.uniform() < 0.5:
+        lo[-1] = hi[-1] = rng.integers(lo[-1], hi[-1] + 1)  # a one-cell top block
+    for t, a, b in zip(np.sort(rng.uniform(0.05, 1.0, levels)), lo, hi):
+        v[a : b + 1] = t
+    return v
+
+
+def _unimodal_cases(seed):
+    rng = np.random.default_rng(seed)
+    shapes = [(3, 1), (12, 1), (40, 1), (40, 6), (64, 20), (9, 4)]
+    return [
+        (_unimodal_steps(rng, nf, kf), _unimodal_steps(rng, ng, kg))
+        for (nf, kf), (ng, kg) in zip(shapes, shapes[::-1])
+    ]
+
+
+def _whole_kernels(fw, gw, lam):
+    """The snap of every pair of fw and gw by each kernel that applies at
+    lam (the midpoint lattice for None)."""
+    if lam is None:
+        return [plcore._lattice(fw, gw, 1, 2)]
+    exact, wf, wg, den = plcore._weights(lam, (1, -1), (0, 1), (1, 0))
+    wholes = [plcore._segmented(fw, gw, wf, wg, den, exact)]
+    if exact:
+        wholes.append(plcore._regroup(plcore._lattice(fw, gw, wg, den), den))
+    return wholes
+
+
+# Halfgrid (None), every reduced p/q with q <= 12, and 0.37 (the float rule).
+_SPLIT_LAMS = [None] + [p / q for p, q in _LATTICE_LAMS] + [0.37]
+
+
+@pytest.mark.parametrize("cap", [plcore._MAX_LATTICE_CELLS, 0])
+def test_level_split_matches_the_whole_kernels(monkeypatch, cap):
+    # On unimodal inputs sup_convolution pairs only the ends of the level
+    # blocks, on the lattice or (with the lattice capped at 0 cells) on the
+    # segmentation, and gives every whole kernel's values bit for bit.
+    monkeypatch.setattr(plcore, "_MAX_LATTICE_CELLS", cap)
+    split = []
+    real = plcore._level_split
+    monkeypatch.setattr(
+        plcore, "_level_split", lambda *args: split.append(real(*args)) or split[-1]
+    )
+    for k, lam in enumerate(_SPLIT_LAMS):
+        for f, g in _unimodal_cases(k):
+            fg = [grid_function(0.0, 0.01, v) for v in (f, g)]
+            if lam is None:
+                h = sup_convolution(*fg, 0.5, mode="halfgrid")
+                fw, gw = f**0.5, g**0.5
+            else:
+                h = sup_convolution(*fg, lam, mode="snap")
+                fw, gw = f ** (1.0 - lam), g**lam
+            assert split[-1] is not None
+            for want in _whole_kernels(fw, gw, lam):
+                assert h.values.shape == want.shape and np.array_equal(h.values, want), lam
+
+
+def test_level_split_runs_only_on_1d_unimodal_inputs(monkeypatch):
+    rng = np.random.default_rng(11)
+    f, g = (_unimodal_steps(rng, 400, 8) for _ in range(2))
+    dip = f.copy()
+    dip[np.flatnonzero(dip)[3]] = 0.01  # an interior dip: two blocks at one level
+    for a, b, ran in ((f, g, True), (g, f, True), (dip, g, False), (g, dip, False)):
+
+        def halfgrid(rows, d0, d1):
+            return plcore._placed(plcore._lattice(rows, b[d0:d1], 1, 2), d0, a.size + b.size - 1)
+
+        out = plcore._level_split(a, b, halfgrid)
+        assert (out is not None) == ran
+        if ran:
+            assert np.array_equal(out, plcore._lattice(a, b, 1, 2))
+    box = np.ones((4, 4))
+    assert plcore._level_split(box, box, None) is None
+
+
+def _blocks(v):
+    """First and last cell of each superlevel block of a unimodal array."""
+    cells = [np.flatnonzero(v >= t) for t in np.unique(v[v > 0])]
+    return [(int(c[0]), int(c[-1])) for c in cells]
+
+
+def test_block_pairs_fill_contiguous_cells_at_every_lattice_lambda():
+    # Every pair of f block i and g block j lands on exactly the cells from
+    # the snap of (lo_i, lo_j) to the snap of (hi_i, hi_j), with none
+    # skipped, at every reduced p/q with q <= 64: the property the level
+    # split rests on.
+    rng = np.random.default_rng(3)
+    checked = 0
+    for q in range(2, 65):
+        for p in range(1, q):
+            if math.gcd(p, q) != 1:
+                continue
+            exact, wf, wg, den = plcore._weights(p / q, (1, -1), (0, 1), (1, 0))
+            blocks_f, blocks_g = (_blocks(_unimodal_steps(rng, 12, 3)) for _ in range(2))
+            for a, b in blocks_f:
+                for c, d in blocks_g:
+                    ci, dj = np.meshgrid(np.arange(a, b + 1), np.arange(c, d + 1))
+                    cells = np.unique(plcore._nearest(wf * ci + wg * dj, den, exact))
+                    lo, hi = (
+                        int(plcore._nearest(wf * x + wg * y, den, exact))
+                        for x, y in ((a, c), (b, d))
+                    )
+                    assert np.array_equal(cells, np.arange(lo, hi + 1)), (p, q)
+                    checked += 1
+    assert checked > 5000
+
+
 # -- the lattice verdict of condition_satisfied ------------------------------------
 
 

@@ -365,6 +365,12 @@ def test_bubble_requires_regularized():
         build_bubble(p, 0.0)
 
 
+def test_bubble_rejects_intervals_that_are_not_nested():
+    p = make_profile([0.2, 0.5], [0.0, -1.0], [1.0, 2.0], regularized=True)
+    with pytest.raises(DomainError, match="nested"):
+        build_bubble(p, 0.0)
+
+
 def test_bubble_degenerate_profile_is_zero():
     p = make_profile([0.5, 0.7], [np.nan, np.nan], [np.nan, np.nan], regularized=True)
     fb = build_bubble(p, 0.0)
@@ -387,6 +393,55 @@ def test_bubble_superlevels_match_recorded_intervals():
         (a, b), = u.intervals
         assert abs(a - p.left[k]) <= 0.011
         assert abs(b - p.right[k]) <= 0.011
+
+
+def _bubble_loop(profile, floor_level, step=None, window=None):
+    """The per-level loop ``build_bubble`` used to run: the reference for
+    its two ``searchsorted`` calls."""
+    keep = profile.usable() & (profile.levels >= floor_level)
+    lv, a, b = profile.levels[keep], profile.left[keep], profile.right[keep]
+    if keep.any():
+        lo, hi = float(a.min()), float(b.max())
+    elif profile.usable().any():
+        lo = float(profile.left[profile.usable()].min())
+        hi = float(profile.right[profile.usable()].max())
+    else:
+        lo, hi = 0.0, 1.0
+    if window is not None:
+        lo, hi = float(window[0]), float(window[1])
+    if step is None:
+        step = (hi - lo) / 2048.0 if hi > lo else 1.0
+    n = max(1, int(np.ceil((hi - lo) / step - 1e-9)))
+    centers = lo + step * (np.arange(n) + 0.5)
+    out = np.zeros(n)
+    # Levels ascend, intervals are nested: later (higher) levels overwrite.
+    for t, ak, bk in zip(lv, a, b):
+        out[(centers >= ak) & (centers < bk)] = t
+    return grid_function(lo, step, out)
+
+
+def test_bubble_matches_the_per_level_loop():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        n = int(rng.integers(1, 60))
+        levels = np.sort(rng.uniform(0.01, 1.0, n))
+        # Interval ends on a coarse grid, so that ends and centers coincide.
+        mid = np.round(rng.uniform(-1, 1, n), 2)
+        wid = np.round(rng.uniform(0.0, 1.5, n), 2)
+        left, right = mid - wid, mid + wid
+        empty = rng.uniform(size=n) < 0.2
+        left[empty] = right[empty] = np.nan
+        valid = rng.uniform(size=n) < 0.8
+        if not (valid & ~empty).any():
+            continue
+        p = regularize(make_profile(levels, left, right, valid=valid))
+        floor = float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
+        step = rng.choice([None, 0.01, 0.02, rng.uniform(0.001, 0.05)])
+        window = (-1.5, 1.5) if rng.uniform() < 0.3 else None
+        got = build_bubble(p, floor, step=step, window=window)
+        want = _bubble_loop(p, floor, step=step, window=window)
+        assert got.origin == want.origin and got.step == want.step
+        assert np.array_equal(got.values, want.values)
 
 
 # -- hull-distance accounting -------------------------------------------------------

@@ -324,6 +324,32 @@ def test_pipeline_report_serializes():
     ]
 
 
+def test_reports_write_non_finite_floats_as_null():
+    from dataclasses import replace
+
+    from plstab.plcore import DeficitReport
+
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    f = gaussian(0.0, 1.0, 1.0, step=4e-3, window=(-3, 3))
+    t = canonical_triple(f, f, 0.5, mode="halfgrid")
+    rep, *_ = stability_decompose(t, PipelineConfig(level_count=128, supconv_mode="auto"))
+    rep = replace(rep, err_h=math.inf, stage_flags=dict(rep.stage_flags, sup_ratio=-math.inf))
+    d = json.loads(rep.to_json(), parse_constant=reject)
+    assert d["err_h"] is None and d["stage_flags"]["sup_ratio"] is None
+    assert d["err_f"] == rep.err_f
+    dr = DeficitReport(1.0, math.inf, 2.0, math.inf, math.nan, math.inf)
+    assert json.loads(dr.to_json(), parse_constant=reject) == {
+        "int_f": 1.0,
+        "int_g": None,
+        "int_h": 2.0,
+        "geo_mean": None,
+        "epsilon": None,
+        "a": None,
+    }
+
+
 def test_pipeline_rejects_mismatched_steps():
     f = indicator(0.0, 1.0, 1.0, 0.01)
     g = indicator(0.0, 1.0, 1.0, 0.02)
