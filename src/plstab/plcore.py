@@ -347,20 +347,22 @@ def _nearest_and_distance(num, den, exact: bool):
 # -- sup-convolution -------------------------------------------------------
 
 
-def _lattice(fw: np.ndarray, gw: np.ndarray, p: int, q: int) -> np.ndarray:
+def _lattice(fw: np.ndarray, gw: np.ndarray, p: int, q: int, d0: int = 0, d1=None) -> np.ndarray:
     """Max of ``fw[c] * gw[d]`` over the pairs landing on each lattice index.
 
     ``fw`` and ``gw`` have the same number of dimensions.  On each axis,
     pair (c, d) lands on ``m = (q - p)*c + p*d``, the exact position of
     ``(1 - p/q)*c + (p/q)*d`` on a grid of step 1/q.  The pairs of f cell c
     fill ``windows[c]``: the stride-p block of the lattice that starts at
-    ``(q - p)*c``.
+    ``(q - p)*c``.  Only g cells ``d0 .. d1 - 1`` on the first axis are
+    paired (all of them by default); the lattice keeps its full size.
     """
     out = np.zeros(
         tuple((q - p) * (nf - 1) + p * (ng - 1) + 1 for nf, ng in zip(fw.shape, gw.shape))
     )
+    gw = gw[d0:d1]
     windows = as_strided(
-        out,
+        out[p * d0 :],
         fw.shape + gw.shape,
         tuple((q - p) * s for s in out.strides) + tuple(p * s for s in out.strides),
     )
@@ -454,54 +456,46 @@ def _level_rows(v: np.ndarray):
     return peak, rise, fall
 
 
-def _level_split(fw: np.ndarray, gw: np.ndarray, pairs):
-    """Sup-convolution of 1D unimodal inputs from the ends of their level blocks.
+def _level_split(fw: np.ndarray, gw: np.ndarray, kernel) -> np.ndarray:
+    """Lattice output of fw and gw, from the ends of their level blocks
+    when both are 1D and unimodal (``_level_rows``).
 
-    ``pairs(rows, d0, d1)`` is the mode's output, at full size, of the
-    pairs of the positive cells of ``rows`` (an array like ``fw``) with g
-    cells ``d0 .. d1 - 1``.  Returns None, leaving the call to the whole
-    lattice or segmentation, unless fw and gw are 1D and unimodal
-    (``_level_rows``).
+    ``kernel(rows, d0, d1)`` is the mode's lattice output, at full size,
+    of the pairs of the positive cells of ``rows`` (an array like ``fw``)
+    with g cells ``d0 .. d1 - 1`` on the first axis.  Any other input
+    gets ``kernel(fw, 0, n_g)``, the whole kernel.
 
-    The output is theirs, bit for bit (threshold decomposition; Maragos
-    and Schafer, IEEE Trans. ASSP 35, 1987).  Pair (c, d) lands on cell
-    ``_nearest(wf*c + wg*d, den, exact)``.  For f block i and g block j, a
-    monotone path of pairs from their left ends ``(lo_i, lo_j)`` to their
-    right ends ``(hi_i, hi_j)`` moves the target by ``wf`` or ``wg`` per
-    step, each below ``den``, so the pairs of the two blocks fill every
-    cell from ``L_ij``, the cell of the left ends, to ``R_ij``, that of
-    the right ends, with the product ``u_i*u_j`` of the block values at
-    least.  Every block pair's cells contain those of the top pair, so a
-    cell k is covered by a pair with ``L_ij <= k`` whenever k is left of
-    the top cells and by one with ``R_ij >= k`` whenever k is right of
-    them: the output is ``min(A, B)``, with A the running maximum over
-    cells of the left-end products and B the reversed running maximum of
-    the right-end products.  A left end ``lo_i`` is the first cell of a
-    run at or before f's peak, and any pair of such a cell with a g cell
-    at or before g's peak has a block pair, of the same product, whose
-    left ends land no later; so A is the running maximum of ``pairs(rise,
-    0, peak_g + 1)``, and B likewise of ``pairs(fall, peak_g, n_g)``.
-    Each row of f is then one block end against one part of g: 1/8 to
-    1/4 of the whole kernel's pair operations on the pipeline's bubbles
-    (511 levels on 2 000 to 4 000 cells), about 1/2 on a smooth bump.
+    The output is the whole kernel's, bit for bit (threshold
+    decomposition; Maragos and Schafer, IEEE Trans. ASSP 35, 1987).  Pair
+    (c, d) lands on lattice cell ``_nearest(wf*c + wg*d, den, exact)``.
+    For f block i and g block j, a monotone path of pairs from their left
+    ends ``(lo_i, lo_j)`` to their right ends ``(hi_i, hi_j)`` moves the
+    target by ``wf`` or ``wg`` per step, each below ``den``, so the pairs
+    of the two blocks fill every cell from ``L_ij``, the cell of the left
+    ends, to ``R_ij``, that of the right ends, with the product
+    ``u_i*u_j`` of the block values at least.  Every block pair's cells
+    contain those of the top pair, so a cell k is covered by a pair with
+    ``L_ij <= k`` whenever k is left of the top cells and by one with
+    ``R_ij >= k`` whenever k is right of them: the output is ``min(A,
+    B)``, with A the running maximum over cells of the left-end products
+    and B the reversed running maximum of the right-end products.  A left
+    end ``lo_i`` is the first cell of a run at or before f's peak, and any
+    pair of such a cell with a g cell at or before g's peak has a block
+    pair, of the same product, whose left ends land no later; so A is the
+    running maximum of ``kernel(rise, 0, peak_g + 1)``, and B likewise of
+    ``kernel(fall, peak_g, n_g)``.  Each row of f is then one block end
+    against one part of g: 1/8 to 1/4 of the whole kernel's pair
+    operations on the pipeline's bubbles (511 levels on 2 000 to 4 000
+    cells), about 1/2 on a smooth bump.
     """
-    if fw.ndim != 1:
-        return None
-    split_f = _level_rows(fw)
+    split_f = _level_rows(fw) if fw.ndim == 1 else None
     split_g = None if split_f is None else _level_rows(gw)
     if split_g is None:
-        return None
+        return kernel(fw, 0, gw.shape[0])
     (_, rise, fall), peak_g = split_f, split_g[0]
-    left = np.maximum.accumulate(pairs(rise, 0, peak_g + 1))
-    right = np.maximum.accumulate(pairs(fall, peak_g, gw.size)[::-1])[::-1]
+    left = np.maximum.accumulate(kernel(rise, 0, peak_g + 1))
+    right = np.maximum.accumulate(kernel(fall, peak_g, gw.size)[::-1])[::-1]
     return np.minimum(left, right)
-
-
-def _placed(part: np.ndarray, offset: int, size: int) -> np.ndarray:
-    """``part`` at ``offset`` in ``size`` zeros."""
-    out = np.zeros(size)
-    out[offset : offset + part.size] = part
-    return out
 
 
 def _lattice_weights(fw: np.ndarray, gw: np.ndarray, lam: float) -> tuple[int, int] | None:
@@ -529,25 +523,16 @@ def _snap(fw: np.ndarray, gw: np.ndarray, lam: float) -> np.ndarray:
 
     Both kernels snap each pair by ``_nearest`` and return the same
     values.  The lattice runs when ``lam == p/q`` with ``q <= 64`` and it
-    has at most ``_MAX_LATTICE_CELLS`` cells; the segmentation otherwise.
-    On 1D unimodal inputs the kernel runs only over the ends of the level
-    blocks (``_level_split``).
+    has at most ``_MAX_LATTICE_CELLS`` cells, on 1D unimodal inputs only
+    over the ends of the level blocks (``_level_split``); the
+    segmentation runs otherwise.
     """
-    exact, wf, wg, den = _weights(lam, (1, -1), (0, 1), (1, 0))
-    lattice = _lattice_weights(fw, gw, lam) is not None
-
-    def pairs(rows, d0, d1):
-        if lattice:
-            size = wf * (rows.size - 1) + wg * (gw.size - 1) + 1
-            return _regroup(_placed(_lattice(rows, gw[d0:d1], wg, den), wg * d0, size), den)
-        return _segmented(rows, _placed(gw[d0:d1], d0, gw.size), wf, wg, den, exact)
-
-    out = _level_split(fw, gw, pairs)
-    if out is None:
-        out = _lattice_snap(fw, gw, lam)
-    if out is None:
-        out = _segmented(fw, gw, wf, wg, den, exact)
-    return out
+    pq = _lattice_weights(fw, gw, lam)
+    if pq is None:
+        exact, wf, wg, den = _weights(lam, (1, -1), (0, 1), (1, 0))
+        return _segmented(fw, gw, wf, wg, den, exact)
+    p, q = pq
+    return _level_split(fw, gw, lambda rows, d0, d1: _regroup(_lattice(rows, gw, p, q, d0, d1), q))
 
 
 def _lattice_verdict(triple: PLTriple, fw: np.ndarray, gw: np.ndarray) -> bool:
@@ -619,11 +604,8 @@ def _sup_convolution(f, g, lam: float, mode: str, name: str):
         return type(f)(origin, step, np.zeros((1,) * f.values.ndim))
     if mode == "halfgrid":
         fw, gw = f.values**0.5, g.values**0.5
-        size = fw.shape[0] + gw.shape[0] - 1
-        out = _level_split(
-            fw, gw, lambda rows, d0, d1: _placed(_lattice(rows, gw[d0:d1], 1, 2), d0, size)
-        )
-        return type(f)(origin, step, _lattice(fw, gw, 1, 2) if out is None else out)
+        out = _level_split(fw, gw, lambda rows, d0, d1: _lattice(rows, gw, 1, 2, d0, d1))
+        return type(f)(origin, step, out)
     return type(f)(origin, step, _snap(f.values ** (1.0 - lam), g.values**lam, lam))
 
 
@@ -655,14 +637,15 @@ def sup_convolution(
     (ties settled exactly), by ``floor(u + 0.5)`` otherwise.  The output
     is sized by the same rule applied to the extreme pair.
 
-    Level blocks: in every mode, when both inputs are 1D and unimodal
-    (every superlevel set one interval, as the pipeline's bubbles and
-    log-concave functions are), the kernel pairs only the left ends of
-    f's level blocks with g up to its peak and the right ends with g from
-    its peak, and combines the two running maxima (``_level_split``).
-    The output is the whole kernel's, bit for bit, at a fraction of its
-    pair operations: 1/8 to 1/4 on the pipeline's bubbles and about 1/2
-    on a smooth bump.  Every other input runs the whole kernel.
+    Level blocks: when both inputs are 1D and unimodal (every superlevel
+    set one interval, as the pipeline's bubbles and log-concave functions
+    are) and the lattice runs (halfgrid, and snap at ``lam == p/q``
+    within the lattice cap), the lattice pairs only the left ends of f's
+    level blocks with g up to its peak and the right ends with g from its
+    peak, and combines the two running maxima (``_level_split``).  The
+    output is the whole lattice's, bit for bit, at a fraction of its pair
+    operations: 1/8 to 1/4 on the pipeline's bubbles and about 1/2 on a
+    smooth bump.  Every other input runs the whole kernel.
 
     Preconditions: equal steps; lam in (0, 1).  If either input is
     identically zero the result is the zero function (a warning is

@@ -404,45 +404,50 @@ _SPLIT_LAMS = [None] + [p / q for p, q in _LATTICE_LAMS] + [0.37]
 
 @pytest.mark.parametrize("cap", [plcore._MAX_LATTICE_CELLS, 0])
 def test_level_split_matches_the_whole_kernels(monkeypatch, cap):
-    # On unimodal inputs sup_convolution pairs only the ends of the level
-    # blocks, on the lattice or (with the lattice capped at 0 cells) on the
-    # segmentation, and gives every whole kernel's values bit for bit.
+    # On unimodal inputs the lattice pairs only the ends of the level
+    # blocks, in two calls (g up to its peak, g from its peak), and gives
+    # every whole kernel's values bit for bit.  The float rule, and a
+    # lattice over its cap (0 cells here), run the whole segmentation.
     monkeypatch.setattr(plcore, "_MAX_LATTICE_CELLS", cap)
-    split = []
-    real = plcore._level_split
+    calls = []
+    real = plcore._lattice
     monkeypatch.setattr(
-        plcore, "_level_split", lambda *args: split.append(real(*args)) or split[-1]
+        plcore, "_lattice", lambda *args: calls.append(args[4:]) or real(*args)
     )
     for k, lam in enumerate(_SPLIT_LAMS):
         for f, g in _unimodal_cases(k):
             fg = [grid_function(0.0, 0.01, v) for v in (f, g)]
+            calls.clear()
             if lam is None:
                 h = sup_convolution(*fg, 0.5, mode="halfgrid")
                 fw, gw = f**0.5, g**0.5
             else:
                 h = sup_convolution(*fg, lam, mode="snap")
                 fw, gw = f ** (1.0 - lam), g**lam
-            assert split[-1] is not None
+            peak = int(np.argmax(g))
+            lattice = lam is None or (cap > 0 and lam != 0.37)
+            assert calls == ([(0, peak + 1), (peak, g.size)] if lattice else []), lam
             for want in _whole_kernels(fw, gw, lam):
                 assert h.values.shape == want.shape and np.array_equal(h.values, want), lam
 
 
-def test_level_split_runs_only_on_1d_unimodal_inputs(monkeypatch):
+def test_level_split_runs_only_on_1d_unimodal_inputs():
     rng = np.random.default_rng(11)
     f, g = (_unimodal_steps(rng, 400, 8) for _ in range(2))
     dip = f.copy()
     dip[np.flatnonzero(dip)[3]] = 0.01  # an interior dip: two blocks at one level
-    for a, b, ran in ((f, g, True), (g, f, True), (dip, g, False), (g, dip, False)):
+    box = np.ones((4, 4))
+    cases = ((f, g, True), (g, f, True), (dip, g, False), (g, dip, False), (box, box, False))
+    for a, b, ran in cases:
+        calls = []
 
         def halfgrid(rows, d0, d1):
-            return plcore._placed(plcore._lattice(rows, b[d0:d1], 1, 2), d0, a.size + b.size - 1)
+            calls.append((d0, d1))
+            return plcore._lattice(rows, b, 1, 2, d0, d1)
 
         out = plcore._level_split(a, b, halfgrid)
-        assert (out is not None) == ran
-        if ran:
-            assert np.array_equal(out, plcore._lattice(a, b, 1, 2))
-    box = np.ones((4, 4))
-    assert plcore._level_split(box, box, None) is None
+        assert len(calls) == (2 if ran else 1) and calls[-1][1] == b.shape[0]
+        assert np.array_equal(out, plcore._lattice(a, b, 1, 2))
 
 
 def _blocks(v):
