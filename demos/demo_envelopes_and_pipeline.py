@@ -40,7 +40,7 @@ def main() -> int:
     S = f.sup_norm()
     levels = level_grid(1e-6 * S, S * (1 - 1e-12), 512)
     prof = regularize(extract_profile(f, levels))
-    env, diag = _fit_envelopes(prof)
+    env = _fit_envelopes(prof)
     rebuilt = from_envelopes(env, floor_level=1e-6 * S, step=f.step)
     err = l1_distance(rebuilt, f)
     print(f"   512 levels; envelope fit errors: lower {env.fit_error_lower:.2e}, "

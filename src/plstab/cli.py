@@ -43,7 +43,6 @@ from .gridfn import (
     FormatError,
     GridFunction,
     _dumps,
-    _l1_shifts,
     from_samples,
     l1_distance,
     read_function,
@@ -52,7 +51,7 @@ from .plcore import PLTriple, deficit, sup_convolution
 from .rearrange import symmetric_decreasing
 from .reconstruct import (
     PipelineConfig,
-    _coarse_to_fine,
+    align,
     is_log_concave,
     log_concave_hull,
     stability_decompose,
@@ -82,13 +81,6 @@ class Example1Row:
     skipped: bool
 
 
-def _min_shift_l1(g: GridFunction, f: GridFunction, max_shift: float) -> float:
-    """Minimum of ``L1(g, f(. - w))`` over cell shifts with |w| <= max_shift."""
-    s_max = max(1, int(round(max_shift / f.step)))
-    stride = max(1, (2 * s_max + 1) // 256)
-    return _coarse_to_fine(lambda s: _l1_shifts(g, f, s), -s_max, s_max, stride)[1]
-
-
 def run_example1(
     etas: Sequence[float], step: float = 1e-3
 ) -> tuple[list[Example1Row], dict]:
@@ -97,9 +89,11 @@ def run_example1(
     For each eta builds ``f(x) = exp(-pi x**2)`` on [-4, 4), ``g = (1 +
     eta*phi) f`` with the odd bump ``phi(x) = sin(pi x)(1-x**2)**3``
     (scaled to max 1), takes the canonical h at lam = 1/2, and measures
-    the deficit epsilon and the minimum-over-shifts L1 distance d between
-    g and f.  Instances where g fails the log-concavity test are skipped
-    and flagged.
+    the deficit epsilon and the L1 distance ``d = align(g, f, 0.5,
+    1.0).err`` between g and the nearest translate of f.  The minimum runs
+    over every whole-cell shift that brings f's window onto g's, not over
+    a bounded range.  Instances where g fails the log-concavity test are
+    skipped and flagged.
 
     Returns the rows and a summary dict with the fitted constants:
     ``C`` in ``epsilon <= C eta**2``, ``c1`` in ``d >= c1 eta``, and the
@@ -123,7 +117,7 @@ def run_example1(
             continue
         h = sup_convolution(f, g, 0.5, mode="halfgrid")
         rep = deficit(PLTriple(f, g, h, 0.5))
-        d = _min_shift_l1(g, f, max_shift=1.0)
+        d = align(g, f, 0.5, 1.0).err
         rows.append(Example1Row(float(eta), rep.epsilon, d, True, False))
     used = [r for r in rows if not r.skipped and r.epsilon > 0]
     summary: dict = {"skipped": sum(r.skipped for r in rows)}

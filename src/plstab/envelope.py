@@ -379,9 +379,12 @@ def _four_point(
     """``four_point_check`` of each of ``psis`` on one grid, one report each.
 
     The pair geometry (the pairs, their snapped indices and snap
-    distances) is computed once per chunk for all of them.  Each psi keeps
-    its own mask ``valid & isfinite(psi)``, Lipschitz constant, guard and
-    tally, so each report equals ``four_point_check`` of that psi.
+    distances) is computed once per chunk for all of them.  They share one
+    mask, ``valid`` and every psi finite, so each report equals
+    ``four_point_check`` of that psi when the psis are finite at the same
+    points (the pipeline's ``right`` and ``-left`` of one regularized
+    profile are).  Each psi keeps its own Lipschitz constant, guard and
+    tally.
     """
     T = np.asarray(T, dtype=float)
     psis = [np.asarray(psi, dtype=float) for psi in psis]
@@ -395,24 +398,20 @@ def _four_point(
     dT = np.diff(T)
     if not np.allclose(dT, dT[0], rtol=1e-9, atol=0.0):
         raise DomainError("four_point_check requires a uniform grid")
+    mask = np.logical_and.reduce([np.isfinite(psi) for psi in psis])
     if valid is not None:
-        valid = np.asarray(valid, dtype=bool)
-    masks = [np.isfinite(psi) if valid is None else valid & np.isfinite(psi) for psi in psis]
-    # Pairs run over every index some psi uses; a psi whose mask is that
-    # union shares its validity with the geometry.
-    union = np.logical_or.reduce(masks)
-    masks = [union if np.array_equal(m, union) else m for m in masks]
-    lips = [_lipschitz(psi, m) for psi, m in zip(psis, masks)]
+        mask &= np.asarray(valid, dtype=bool)
+    lips = [_lipschitz(psi, mask) for psi in psis]
     guards = [
-        1e-12 * (1.0 + float(np.max(np.abs(psi[m]))) if m.any() else 1.0)
-        for psi, m in zip(psis, masks)
+        1e-12 * (1.0 + float(np.max(np.abs(psi[mask]))) if mask.any() else 1.0)
+        for psi in psis
     ]
     # Invalid samples never reach a tally; zeroing them keeps inf and nan
-    # out of the shared arithmetic.
-    psis = [np.where(m, psi, 0.0) for psi, m in zip(psis, masks)]
+    # out of the arithmetic.
+    psis = [np.where(mask, psi, 0.0) for psi in psis]
     exact, near, far, den = _weights(lam, (1, 0), (1, -1), (2, -1))
     tallies = [[0, 0, 0.0, None] for _ in psis]
-    idx = np.flatnonzero(union)
+    idx = np.flatnonzero(mask)
     # Row r of the upper triangle pairs idx[r] with idx[r:].
     lengths = idx.size - np.arange(idx.size)
     for r0, r1 in _row_chunks(lengths):
@@ -424,9 +423,9 @@ def _four_point(
         k12, s12, snap_den = _nearest_and_distance(near * i + far * j, den, exact)
         k21, s21, _ = _nearest_and_distance(far * i + near * j, den, exact)
         snap = (s12 + s21) / snap_den
-        shared = union[k12] & union[k21]
-        for psi, m, lip, guard, tally in zip(psis, masks, lips, guards, tallies):
-            ok = shared if m is union else m[i] & m[j] & m[k12] & m[k21]
+        # i and j are valid by construction.
+        ok = mask[k12] & mask[k21]
+        for psi, lip, guard, tally in zip(psis, lips, guards, tallies):
             slack = lip * snap
             excess = psi[i] + psi[j] - psi[k12] - psi[k21] - sigma - slack
             c, nbad, w, top = _tally(excess, ok, guard)

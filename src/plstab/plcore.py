@@ -150,9 +150,9 @@ class PLTriple:
         t of cells from the snap origin ``(1-lam)*f.origin +
         lam*g.origin``, every pair is decided at once, in any dimension.
         On each axis pair (i, j) has the scaled target ``m/q + 1/2 - t``
-        in h's grid, ``m = (q-p)*i + p*j``, and the snap output
-        (``_lattice`` + ``_regroup``) holds the largest right-hand side of
-        the pairs with ``(2m + q) // (2q) == k`` in its cell k.  The target
+        in h's grid, ``m = (q-p)*i + p*j``, and the snap output on the
+        lattice (``_snap``) holds the largest right-hand side of the pairs
+        with ``(2m + q) // (2q) == k`` in its cell k.  The target
         is either an integer (a tie) or at least ``1/(2q)`` from one, so
         the scan's float ``floor`` lands on h cell ``k - t``, or on ``k -
         t - 1`` at a tie.  The verdict is "satisfied" when the slack
@@ -498,41 +498,36 @@ def _level_split(fw: np.ndarray, gw: np.ndarray, kernel) -> np.ndarray:
     return np.minimum(left, right)
 
 
-def _lattice_weights(fw: np.ndarray, gw: np.ndarray, lam: float) -> tuple[int, int] | None:
-    """``(p, q)`` of the snap lattice of ``fw`` and ``gw``.
+def _snap_weights(fw: np.ndarray, gw: np.ndarray, lam: float) -> tuple:
+    """``(lattice, exact, wf, wg, den)``: the snap weights of ``fw`` and
+    ``gw`` (one ``_weights`` call), and whether the lattice runs.
 
-    None unless ``lam == p/q`` with ``q <= 64`` and the lattice has at
-    most ``_MAX_LATTICE_CELLS`` cells.
+    ``lattice`` is True when ``lam == p/q`` with ``q <= 64`` (then ``wg``
+    is p and ``den`` is q) and the lattice has at most
+    ``_MAX_LATTICE_CELLS`` cells.
     """
     exact, wf, wg, den = _weights(lam, (1, -1), (0, 1), (1, 0))
-    if not exact:
-        return None
-    cells = math.prod(wf * (nf - 1) + wg * (ng - 1) + 1 for nf, ng in zip(fw.shape, gw.shape))
-    return (wg, den) if cells <= _MAX_LATTICE_CELLS else None
-
-
-def _lattice_snap(fw: np.ndarray, gw: np.ndarray, lam: float) -> np.ndarray | None:
-    """Snap values of ``fw = f**(1-lam)``, ``gw = g**lam`` on the lattice,
-    or None where ``_lattice_weights`` is None."""
-    pq = _lattice_weights(fw, gw, lam)
-    return None if pq is None else _regroup(_lattice(fw, gw, *pq), pq[1])
+    lattice = exact and (
+        math.prod(wf * (nf - 1) + wg * (ng - 1) + 1 for nf, ng in zip(fw.shape, gw.shape))
+        <= _MAX_LATTICE_CELLS
+    )
+    return lattice, exact, wf, wg, den
 
 
 def _snap(fw: np.ndarray, gw: np.ndarray, lam: float) -> np.ndarray:
     """Snap sup-convolution values of ``fw = f**(1-lam)``, ``gw = g**lam``.
 
     Both kernels snap each pair by ``_nearest`` and return the same
-    values.  The lattice runs when ``lam == p/q`` with ``q <= 64`` and it
-    has at most ``_MAX_LATTICE_CELLS`` cells, on 1D unimodal inputs only
-    over the ends of the level blocks (``_level_split``); the
-    segmentation runs otherwise.
+    values.  The lattice runs when ``_snap_weights`` allows it, on 1D
+    unimodal inputs only over the ends of the level blocks
+    (``_level_split``); the segmentation runs otherwise.
     """
-    pq = _lattice_weights(fw, gw, lam)
-    if pq is None:
-        exact, wf, wg, den = _weights(lam, (1, -1), (0, 1), (1, 0))
+    lattice, exact, wf, wg, den = _snap_weights(fw, gw, lam)
+    if not lattice:
         return _segmented(fw, gw, wf, wg, den, exact)
-    p, q = pq
-    return _level_split(fw, gw, lambda rows, d0, d1: _regroup(_lattice(rows, gw, p, q, d0, d1), q))
+    return _level_split(
+        fw, gw, lambda rows, d0, d1: _regroup(_lattice(rows, gw, wg, den, d0, d1), den)
+    )
 
 
 def _lattice_verdict(triple: PLTriple, fw: np.ndarray, gw: np.ndarray) -> bool:
@@ -556,9 +551,9 @@ def _lattice_verdict(triple: PLTriple, fw: np.ndarray, gw: np.ndarray) -> bool:
         if far > _MAX_LATTICE_REACH or abs(cells - round(cells)) > 1e-9:
             return False
         shifts.append(round(cells))
-    rhs = _lattice_snap(fw, gw, lam)
-    if rhs is None:
+    if not _snap_weights(fw, gw, lam)[0]:
         return False
+    rhs = _snap(fw, gw, lam)
     # The slack maximum on h cells k - t - 1 and k - t of snap cell k, read
     # with the scan's clip, then the smaller of the two on each axis.
     index = [

@@ -17,9 +17,11 @@ module implements the constructive side:
 * ``stability_decompose``: the end-to-end pipeline from a triple to a
   report with normalized L1 errors and the theoretical bound.
 
-Every whole-cell shift scan (``align``, stage 6, the CLI's example 1) is
-one ``_coarse_to_fine`` pass over the L1 kernel ``gridfn._l1_shifts``, of
-which commensurate ``l1_distance`` is shift 0 (rounding ~ eps * mass).
+Every whole-cell shift scan (``align``, which the CLI's example 1 calls,
+and stage 6) is one ``_coarse_to_fine`` pass over the L1 kernel
+``gridfn._l1_shifts``, of which commensurate ``l1_distance`` is shift 0
+(rounding ~ eps * mass).  ``_coarse_to_fine`` alone decides which shifts
+are scanned and how coarsely, from the target and witness windows.
 """
 
 from __future__ import annotations
@@ -373,14 +375,27 @@ def from_envelopes(
 # -- alignment ---------------------------------------------------------------
 
 
-def _coarse_to_fine(objective, lo: int, hi: int, stride: int) -> tuple[int, float]:
+def _coarse_to_fine(
+    objective, targets: list[GridFunction], witness: GridFunction
+) -> tuple[int, float]:
     """First minimiser over whole-cell shifts of ``objective``, and its value.
 
-    ``objective`` maps an int array of shifts to their values.  A coarse
-    pass every ``stride`` cells of ``[lo, hi]`` is followed by every cell
-    within ``stride`` of the coarse best, which bounds the error of the
-    two-stage search by the coarse-scan granularity.
+    The one shift scan of the package.  ``objective`` maps an int array
+    of shifts s, in cells of ``witness``, to their values.  The window is
+    every s that brings the witness window onto the hull of the
+    ``targets``' windows, with one cell to spare.  A coarse pass over
+    every ``stride``-th shift, ``stride = max(1, window size // 512)``, is
+    followed by every shift within ``stride`` of the coarse best, which
+    bounds the error of the two-stage search by the coarse-scan
+    granularity.
     """
+    step = witness.step
+    t_lo = min(t.window[0] for t in targets)
+    t_hi = max(t.window[1] for t in targets)
+    h_lo, h_hi = witness.window
+    lo = int(np.floor((t_lo - h_hi) / step)) - 1
+    hi = int(np.ceil((t_hi - h_lo) / step)) + 1
+    stride = max(1, (hi - lo + 1) // 512)
     coarse = np.arange(lo, hi + 1, stride)
     best = int(coarse[np.argmin(objective(coarse))])
     fine = np.arange(best - stride, best + stride + 1)
@@ -411,11 +426,12 @@ def align(
 ) -> AlignResult:
     """Minimize ``L1(a**lam * f, h_tilde(. - lam*w))`` over translations w.
 
-    The scan runs over whole-cell shifts of the witness: a coarse pass
-    over about 512 evenly strided shifts followed by an exhaustive pass
-    inside the best coarse bracket (``_coarse_to_fine``).  Every shift is
-    evaluated by the exact L1 kernel ``gridfn._l1_shifts``, whose
-    commensurate path rounds at order eps times the mass.
+    The scan runs over every whole-cell shift of the witness that brings
+    its window onto the target's: a coarse pass over about 512 evenly
+    strided shifts followed by an exhaustive pass inside the best coarse
+    bracket (``_coarse_to_fine``).  Every shift is evaluated by the exact
+    L1 kernel ``gridfn._l1_shifts``, whose commensurate path rounds at
+    order eps times the mass.
 
     Raises:
         DomainError: If ``a`` is not positive or lam is outside (0, 1).
@@ -424,17 +440,10 @@ def align(
         raise DomainError(f"scaling ratio a must be positive, got {a}")
     _check_lambda(lam)
     target = f.scale(a**lam)
-    step = h_tilde.step
-    # Candidate cell shifts must bring the witness window onto the target.
-    t_lo, t_hi = target.window
-    h_lo, h_hi = h_tilde.window
-    s_min = int(np.floor((t_lo - h_hi) / step)) - 1
-    s_max = int(np.ceil((t_hi - h_lo) / step)) + 1
-    stride = max(1, (s_max - s_min + 1) // 512)
     s_best, err = _coarse_to_fine(
-        lambda s: _l1_shifts(target, h_tilde, s), s_min, s_max, stride
+        lambda s: _l1_shifts(target, h_tilde, s), [target], h_tilde
     )
-    return AlignResult(w=s_best * step / lam, err=err)
+    return AlignResult(w=s_best * h_tilde.step / lam, err=err)
 
 
 # -- the pipeline -------------------------------------------------------------
@@ -507,13 +516,10 @@ class StabilityReport:
         return _dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _fit_envelopes(
-    profile: LevelProfile,
-) -> tuple[EnvelopePair, np.ndarray]:
+def _fit_envelopes(profile: LevelProfile) -> EnvelopePair:
     """Fit monotone convex/concave envelopes to a regularized profile.
 
-    Returns the envelope pair on the usable sub-grid of log-levels and the
-    usable mask itself.
+    Returns the envelope pair on the usable sub-grid of log-levels.
     """
     usable = profile.usable()
     T = profile.log_levels[usable]
@@ -528,10 +534,9 @@ def _fit_envelopes(
     lower = -monotonize(-lower, "nonincreasing")
     upper = monotonize(upper, "nonincreasing")
     upper = np.maximum(upper, lower)
-    env = EnvelopePair(
+    return EnvelopePair(
         T=T, lower=lower, upper=upper, fit_error_lower=fit_lo, fit_error_upper=fit_hi
     )
-    return env, usable
 
 
 def stability_decompose(
@@ -614,7 +619,6 @@ def stability_decompose(
 
     pf = extract_profile(fn, levels)
     pg = extract_profile(gn, levels)
-    ph = extract_profile(hn, levels)
     mask_f = pf.valid & good.mask
     mask_g = pg.valid & good.mask
     if not (mask_f & pf.nonempty).any() or not (mask_g & pg.nonempty).any():
@@ -654,8 +658,8 @@ def stability_decompose(
             flags[f"four_point_a_{name}_violations"] = fp_a.count
 
     # Stage 4: envelopes and monotonization.
-    env_f, _ = _fit_envelopes(rf)
-    env_g, _ = _fit_envelopes(rg)
+    env_f = _fit_envelopes(rf)
+    env_g = _fit_envelopes(rg)
     flags["fit_error_f"] = max(env_f.fit_error_lower, env_f.fit_error_upper)
     flags["fit_error_g"] = max(env_g.fit_error_lower, env_g.fit_error_upper)
 
@@ -677,16 +681,9 @@ def stability_decompose(
     a_ratio = rep.a
 
     # One shared translation must serve f and g simultaneously: scan cell
-    # shifts s of the witness (w = s*step/lam) and minimize the sum.
-    step_h = htn.step
-    t_lo = min(fn.window[0], gn.window[0])
-    t_hi = max(fn.window[1], gn.window[1])
-    h_lo, h_hi = htn.window
-    s_min = int(np.floor((t_lo - h_hi) / step_h)) - 1
-    s_max = int(np.ceil((t_hi - h_lo) / step_h)) + 1
-    stride = max(1, (s_max - s_min + 1) // 512)
-    # The g term moves by (lam - 1) * w, that is by the whole cells nearest
-    # to (lam - 1) * s / lam.
+    # shifts s of the witness (w = s*step/lam) and minimize the sum.  The g
+    # term moves by (lam - 1) * w, that is by the whole cells nearest to
+    # (lam - 1) * s / lam.
     exact, back, den = _weights(lam, (-1, 1), (0, 1))
 
     def pair_err(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -694,9 +691,9 @@ def stability_decompose(
         eg = _l1_shifts(gn, htn, _nearest(back * s, den, exact)) / int_h
         return ef, eg
 
-    best_s, _ = _coarse_to_fine(lambda s: np.add(*pair_err(s)), s_min, s_max, stride)
+    best_s, _ = _coarse_to_fine(lambda s: np.add(*pair_err(s)), [fn, gn], htn)
     best_ef, best_eg = (float(e[0]) for e in pair_err(np.array([best_s])))
-    w = best_s * step_h / lam
+    w = best_s * htn.step / lam
 
     report = StabilityReport(
         epsilon=rep.epsilon,

@@ -197,7 +197,7 @@ def test_reconstruction_outputs_are_log_concave():
         pos = f.values[f.values > 0]
         floor = min(max(pos.min(), 1e-6 * S), 0.5 * S)
         prof = regularize(extract_profile(f, level_grid(floor, S * (1 - 1e-12), 256)))
-        env, _ = _fit_envelopes(prof)
+        env = _fit_envelopes(prof)
         out = from_envelopes(env, floor_level=floor, step=f.step)
         assert is_log_concave(out, tol=1e-9).is_log_concave, seed
         count += 1

@@ -598,6 +598,26 @@ def test_canonical_snap_triples_never_reach_the_row_scan(monkeypatch, lam):
         assert rep == ConditionReport(True, pairs, 0, 0.0, None)
 
 
+def test_lattice_verdict_takes_the_level_split(monkeypatch):
+    # The verdict's right-hand side is the snap output, so on a unimodal
+    # pair it pairs only the ends of the level blocks: g up to its peak,
+    # then g from its peak.
+    lam = 0.3
+    f = gaussian(0.2, 0.8, 1.0, window=(-2.0, 2.0), step=1e-2)
+    g = gaussian(-0.3, 1.3, 2.0, window=(-3.0, 2.0), step=1e-2)
+    triple = canonical_triple(f, g, lam, mode="snap")
+    calls = []
+    real = plcore._lattice
+    monkeypatch.setattr(
+        plcore, "_lattice", lambda *args: calls.append(args[4:]) or real(*args)
+    )
+    rep = triple.condition_satisfied()
+    peak = int(np.argmax(g.values**lam))
+    assert calls == [(0, peak + 1), (peak, g.size)]
+    pairs = np.count_nonzero(f.values) * np.count_nonzero(g.values)
+    assert rep == ConditionReport(True, pairs, 0, 0.0, None)
+
+
 def test_lattice_verdict_checks_both_cells_of_a_tie():
     # At lam = 1/2 pair (0, 21) has the exact scaled target 11, a tie, and
     # the scan's float target falls just below it, into cell 10.  An h

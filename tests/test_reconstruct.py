@@ -195,7 +195,7 @@ def test_from_envelopes_sqrt_gives_gaussian():
 def test_from_envelopes_gaussian_round_trip():
     f = gaussian(0.0, 1.0, 1.0)
     prof = regularize(extract_profile(f, level_grid(1e-6, f.sup_norm() * (1 - 1e-12), 512)))
-    env, _ = _fit_envelopes(prof)
+    env = _fit_envelopes(prof)
     fre = from_envelopes(env, floor_level=1e-6, step=STEP)
     assert l1_distance(fre, f) <= 4 * STEP
 
@@ -210,7 +210,7 @@ def test_from_envelopes_outputs_are_log_concave():
         prof = regularize(
             extract_profile(f, level_grid(floor, f.sup_norm() * (1 - 1e-12), 256))
         )
-        env, _ = _fit_envelopes(prof)
+        env = _fit_envelopes(prof)
         fre = from_envelopes(env, floor_level=floor, step=f.step)
         assert is_log_concave(fre, tol=1e-9).is_log_concave, seed
 
@@ -408,8 +408,8 @@ def _stage6_reference(triple, htn):
 
 @pytest.mark.parametrize("lam", [0.5, 0.3, 0.7])
 @pytest.mark.parametrize("seed", [21, 22])
-def test_pipeline_shift_scan_matches_per_shift_loop(monkeypatch, lam, seed):
-    from plstab import PLTriple, reconstruct
+def test_pipeline_shift_scan_matches_per_shift_loop(lam, seed):
+    from plstab import PLTriple
 
     f = random_log_concave(seed, step=2e-3, window=(-3, 3))
     if lam == 0.5:
@@ -420,16 +420,10 @@ def test_pipeline_shift_scan_matches_per_shift_loop(monkeypatch, lam, seed):
         g = random_grid_function(seed + 100, step=2e-3, window=(-3, 3))
         config = PipelineConfig()
         triple = canonical_triple(f, g, lam, mode="snap")
-    # The last sup-convolution of the pipeline is the stage-5 witness h~.
-    witnesses = []
-    real = reconstruct.sup_convolution
-    monkeypatch.setattr(
-        reconstruct,
-        "sup_convolution",
-        lambda *args, **kw: witnesses.append(real(*args, **kw)) or witnesses[-1],
-    )
-    rep, *_ = stability_decompose(triple, config)
-    htn = witnesses[-1]
+    # Stage 6 scans the witness h~ in the normalized frame, where h is
+    # divided by the geometric mean of the masses.
+    rep, _, _, h_tilde = stability_decompose(triple, config)
+    htn = h_tilde.scale(1.0 / deficit(triple).geo_mean)
     assert (htn.step != f.step) == (lam == 0.5)
     w, err_f, err_g = _stage6_reference(triple, htn)
     assert rep.w == w
