@@ -36,7 +36,7 @@ def main() -> int:
     check(abs(d2.epsilon - 0.125) <= 1e-12, "2D deficit is exactly 1/8",
           f"epsilon = {d2.epsilon:.12f}")
 
-    rep = reduced_deficit(PLTriple(f, g, h, 0.5), n_samples=4000, seed=0)
+    rep = reduced_deficit(PLTriple(f, g, h, 0.5))
     print(f"   reduced 1D deficit = {rep.epsilon:.6f}; mass error = {rep.mass_error:.2e}")
     print(f"   sampled violations: 2D condition {rep.condition_2d_violations}, "
           f"multiplicative {rep.multiplicative_violations}, "
@@ -53,8 +53,7 @@ def main() -> int:
     c = -half + s2 * (np.arange(n) + 0.5)
     v = np.exp(-(c**2))
     fg = GridFunctionND((-half, -half), (s2, s2), np.outer(v, v))
-    rep_g = reduced_deficit(PLTriple(fg, fg, fg, 0.5), level_count=512,
-                            n_samples=4000, seed=0)
+    rep_g = reduced_deficit(PLTriple(fg, fg, fg, 0.5))
     print(f"   reduced deficit = {rep_g.epsilon:.3e}; mass error = {rep_g.mass_error:.3e}")
     check(abs(rep_g.epsilon) <= 1e-2, "equality instance reduces to zero deficit")
 

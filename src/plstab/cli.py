@@ -31,7 +31,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -435,19 +435,9 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_example1(args) -> int:
     etas = _parse_floats(args.etas)
     rows, summary = run_example1(etas, step=args.step)
-    out_rows = [
-        {
-            "eta": r.eta,
-            "epsilon": r.epsilon,
-            "d": r.d,
-            "g_log_concave": int(r.g_log_concave),
-            "skipped": int(r.skipped),
-        }
-        for r in rows
-    ]
     _write_csv(
-        out_rows,
-        ["eta", "epsilon", "d", "g_log_concave", "skipped"],
+        [asdict(r) for r in rows],
+        [f.name for f in fields(Example1Row)],
         "example1",
         args.out,
     )
@@ -458,27 +448,9 @@ def _cmd_example1(args) -> int:
 def _cmd_example2(args) -> int:
     A_values = _parse_floats(args.A)
     rows = run_example2(A_values, step=args.step)
-    out_rows = [
-        {
-            "A": r.A,
-            "epsilon": r.epsilon,
-            "epsilon_closed_form": r.epsilon_closed_form,
-            "hull_gap": r.hull_gap,
-            "hull_gap_over_int_f": r.hull_gap_over_int_f,
-            "h_matches_closed_form": int(r.h_matches_closed_form),
-        }
-        for r in rows
-    ]
     _write_csv(
-        out_rows,
-        [
-            "A",
-            "epsilon",
-            "epsilon_closed_form",
-            "hull_gap",
-            "hull_gap_over_int_f",
-            "h_matches_closed_form",
-        ],
+        [asdict(r) for r in rows],
+        [f.name for f in fields(Example2Row)],
         "example2",
         args.out,
     )

@@ -10,8 +10,11 @@ Results are plain ``CheckRow`` dataclass rows:
 * Tail geometry of log-concave functions: near-max superlevel sets are
   not too short, superlevel sets shrink at worst logarithmically, and the
   mass below a low level is proportionally small.
-* Sup-norm ratio of a normalized near-equality pair is bounded by
-  ``4 * tau**(-3/2)`` once the deficit is below ``tau**3 / 64``.
+* Sup-norm ratio: once the deficit is below ``tau**3 / 64``, the ratio
+  ``(sup f / sup g) * (int g / int f)`` of a near-equality pair is within
+  ``4 * tau**(-3/2) * sqrt(epsilon)`` of 1.  (Stage 1 of
+  ``stability_decompose`` checks the same lemma with another bound,
+  ``4 * tau**(-3/2)`` on the ratio itself; ROADMAP item 6 keeps one.)
 * Truncation: cutting f and g at ``eta * sup`` changes measures/masses by
   explicitly bounded amounts when ``sqrt(epsilon) <= eta < 1``.
 * Constants table: the explicit stability constants over a tau grid.
@@ -35,6 +38,11 @@ __all__ = [
     "check_tail_truncation",
     "constants_table",
 ]
+
+# ``check_logconcave_tails``: the points of each of its two grids (s near
+# the max, t in the tail), and the tolerance of its log-concavity gate.
+_TAIL_LEVELS = 64
+_LOGCONCAVE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -84,15 +92,10 @@ def _row(
     )
 
 
-def check_logconcave_tails(
-    phi: GridFunction,
-    instance_id: str = "",
-    n_levels: int = 64,
-    logconcave_tol: float = 1e-6,
-) -> list[CheckRow]:
+def check_logconcave_tails(phi: GridFunction, instance_id: str = "") -> list[CheckRow]:
     """Tail-geometry checks for a log-concave grid function.
 
-    With ``L = int phi`` and ``S = sup phi``:
+    With ``L = int phi`` and ``S = sup phi``, at 64 values of s and of t:
 
     1. ``near_max_width``: for s in (0, S), the superlevel set
        ``{phi > S - s}`` has measure at least ``(L / S**2) * s``.
@@ -104,10 +107,10 @@ def check_logconcave_tails(
     Every comparison carries a grid allowance of ``3 * step * sup``.
 
     Raises:
-        DomainError: If phi is not log-concave at tolerance
-            ``logconcave_tol`` or has zero integral.
+        DomainError: If phi is not log-concave at tolerance 1e-6 or has
+            zero integral.
     """
-    rep = is_log_concave(phi, tol=logconcave_tol)
+    rep = is_log_concave(phi, tol=_LOGCONCAVE_TOL)
     if not rep.is_log_concave:
         raise DomainError(
             f"tail checks require a log-concave input (worst ratio {rep.worst_ratio})"
@@ -118,7 +121,7 @@ def check_logconcave_tails(
     S = phi.sup_norm()
     allowance = 3.0 * phi.step * S
     rows: list[CheckRow] = []
-    s_grid = np.linspace(S / n_levels, S * (1.0 - 1.0 / n_levels), n_levels)
+    s_grid = np.linspace(S / _TAIL_LEVELS, S * (1.0 - 1.0 / _TAIL_LEVELS), _TAIL_LEVELS)
     for s in s_grid:
         measured = (L / S**2) * s
         width = phi.superlevel(S - s).measure()
@@ -127,7 +130,7 @@ def check_logconcave_tails(
         rows.append(
             _row("near_max_width", f"{instance_id}:s={s:.6g}", measured, width, allowance)
         )
-    t_grid = np.geomspace(S * 1e-4, S / 2.0, n_levels)
+    t_grid = np.geomspace(S * 1e-4, S / 2.0, _TAIL_LEVELS)
     for t in t_grid:
         width = phi.superlevel(t).measure()
         bound = (2.0 * L / S) * abs(math.log(t / S))

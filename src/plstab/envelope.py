@@ -76,8 +76,8 @@ class EnvelopePair:
     T: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    fit_error_lower: float = 0.0
-    fit_error_upper: float = 0.0
+    fit_error_lower: float
+    fit_error_upper: float
 
     def __post_init__(self) -> None:
         if not (self.T.size == self.lower.size == self.upper.size):
@@ -159,14 +159,12 @@ def least_concave_majorant(
     return out
 
 
-def greatest_convex_minorant(
-    T: np.ndarray, psi: np.ndarray, valid: np.ndarray | None = None
-) -> np.ndarray:
-    """Largest convex function below ``psi`` on its valid points.
+def greatest_convex_minorant(T: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Largest convex function below ``psi`` on its finite points.
 
     Implemented by duality: ``-least_concave_majorant(T, -psi)``.
     """
-    return -least_concave_majorant(T, -np.asarray(psi, dtype=float), valid)
+    return -least_concave_majorant(T, -np.asarray(psi, dtype=float))
 
 
 def monotonize(env: np.ndarray, direction: str) -> np.ndarray:

@@ -48,7 +48,7 @@ from .plcore import (
     _sup_convolution,
     deficit,
 )
-from .profiles import _superlevel_counts
+from .profiles import _superlevel_counts, level_grid
 
 # The 2D aliases are left out: each is the same object as a name above or
 # in ``plcore``, so tools that walk ``__all__`` would meet it twice.
@@ -64,6 +64,13 @@ __all__ = [
 
 # Size guard for the sup-convolution, whose work grows with the pairs.
 _MAX_PAIRS = 40_000_000
+
+# ``reduced_deficit``'s level grid and its sampled checks: the size of the
+# geometric level grid, the pairs each sampled check draws, and the seed of
+# the pointwise draw (the level draw uses the next seed).
+_LEVEL_COUNT = 512
+_N_SAMPLES = 4000
+_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -239,9 +246,9 @@ class ReducedDeficitReport:
     """Outcome of the reduction of a d-dimensional triple to one dimension.
 
     The three violation counts are sampled, not exhaustive: the pointwise
-    count over ``n_samples`` seeded pairs of positive cells, and the two
-    level counts over ``n_samples`` seeded level pairs.  So a count of 0
-    certifies only its sample.  (``PLTriple.condition_satisfied`` checks
+    count over 4 000 pairs of positive cells drawn with seed 0, and the
+    two level counts over 4 000 level pairs drawn with seed 1.  So a count
+    of 0 certifies only its sample.  (``PLTriple.condition_satisfied`` checks
     every pair, in any dimension.)
 
     Attributes:
@@ -282,23 +289,23 @@ class ReducedDeficitReport:
         }
 
 
-def _sample_condition_2d(triple: PLTriple, n_samples: int, seed: int) -> int:
+def _sample_condition_2d(triple: PLTriple) -> int:
     """Count violations of the pointwise condition on sampled positive pairs.
 
-    Draws ``min(n_samples, number of pairs)`` seeded pairs of positive
+    Draws ``min(_N_SAMPLES, number of pairs)`` seeded pairs of positive
     cells, with replacement, and checks them with the kernel of
     ``PLTriple.condition_satisfied``: one cell of slack per axis, the 3**d
     cells around each target.  Raises ``DomainError`` where that check
     does (``plcore._check_reach``).
     """
     lam = triple.lam
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
     fx, fpow = _positive_cells(triple.f, 1 - lam)
     gy, gpow = _positive_cells(triple.g, lam)
     if fpow.size == 0 or gpow.size == 0:
         return 0
     _check_reach(triple)
-    na = min(n_samples, fpow.size * gpow.size)
+    na = min(_N_SAMPLES, fpow.size * gpow.size)
     ia = rng.integers(0, fpow.size, size=na)
     ib = rng.integers(0, gpow.size, size=na)
     z = [(1 - lam) * x[ia] + lam * y[ib] for x, y in zip(fx, gy)]
@@ -306,20 +313,17 @@ def _sample_condition_2d(triple: PLTriple, n_samples: int, seed: int) -> int:
     return violations
 
 
-def reduced_deficit(
-    triple: PLTriple,
-    level_count: int = 512,
-    n_samples: int = 4000,
-    seed: int = 0,
-) -> ReducedDeficitReport:
+def reduced_deficit(triple: PLTriple) -> ReducedDeficitReport:
     """Reduce a d-dimensional triple to an additive 1D triple and report both deficits.
 
-    Builds the distribution profiles F, G, H on a shared geometric level
-    grid, verifies (by seeded sampling) the pointwise condition, the
-    induced multiplicative condition on levels, and the Brunn-Minkowski
-    strengthening in dimension d, then applies the log change of
-    variables and the 1D deficit.  Violation counts are reported, not
-    fatal: they quantify the discretization of each implication.
+    Builds the distribution profiles F, G, H on a shared geometric grid of
+    512 levels, verifies by seeded sampling (4 000 pairs each, the
+    pointwise pairs drawn with seed 0 and the level pairs with seed 1) the
+    pointwise condition, the induced multiplicative condition on levels,
+    and the Brunn-Minkowski strengthening in dimension d, then applies the
+    log change of variables and the 1D deficit.  Violation counts are
+    reported, not fatal: they quantify the discretization of each
+    implication.
 
     Raises:
         DomainError: If f or g is identically zero, or if a target of the
@@ -332,15 +336,15 @@ def reduced_deficit(
     if top <= 0:
         raise DomainError("reduction requires a nonzero triple")
     floor = 1e-6 * min(s for s in sups[:2] if s > 0)
-    levels = np.geomspace(floor, top * (1 + 1e-12), level_count)
+    levels = level_grid(floor, top * (1 + 1e-12), _LEVEL_COUNT)
     F = distribution(triple.f, levels)
     G = distribution(triple.g, levels)
     H = distribution(triple.h, levels)
 
     lam = triple.lam
-    rng = np.random.default_rng(seed + 1)
-    r = np.exp(rng.uniform(math.log(floor), math.log(top), size=n_samples))
-    s = np.exp(rng.uniform(math.log(floor), math.log(top), size=n_samples))
+    rng = np.random.default_rng(_SEED + 1)
+    r = np.exp(rng.uniform(math.log(floor), math.log(top), size=_N_SAMPLES))
+    s = np.exp(rng.uniform(math.log(floor), math.log(top), size=_N_SAMPLES))
     t = r ** (1 - lam) * s**lam
     Fr, Gs, Ht = F(r), G(s), H(t)
     # One level-grid cell of slack: compare against H one sampled level
@@ -352,7 +356,7 @@ def reduced_deficit(
     d = triple.f.values.ndim
     bm_rhs = ((1 - lam) * Fr ** (1 / d) + lam * Gs ** (1 / d)) ** d
     bm_viol = int(np.sum(Ht_slack < bm_rhs * (1 - 1e-9)))
-    cond_viol = _sample_condition_2d(triple, n_samples, seed)
+    cond_viol = _sample_condition_2d(triple)
 
     f1 = multiplicative_to_additive(F)
     g1 = multiplicative_to_additive(G)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gridfn import DomainError, GridFunction
-from .plcore import PLTriple, deficit
+from .plcore import PLTriple
 
 __all__ = [
     "LevelProfile",
@@ -162,21 +162,17 @@ def default_good_threshold(tau: float, epsilon: float, int_h: float) -> float:
 
 
 def good_levels(
-    triple: PLTriple, levels: np.ndarray, threshold: float | None = None
+    triple: PLTriple, levels: np.ndarray, threshold: float
 ) -> GoodLevelReport:
     """Mark levels where the three superlevel measures nearly add up.
 
     Args:
         triple: The candidate triple (h may be canonical or supplied).
         levels: Increasing positive levels.
-        threshold: Absolute measure tolerance; when None, a default of
-            ``tau**(-3/2) * epsilon**(1/4) * int_h`` is used with epsilon
-            the measured deficit (clamped at 0).
+        threshold: Absolute measure tolerance.  The pipeline passes
+            ``default_good_threshold`` plus a grid allowance.
     """
     levels = np.asarray(levels, dtype=float)
-    if threshold is None:
-        rep = deficit(triple)
-        threshold = default_good_threshold(triple.tau, rep.epsilon, rep.int_h)
     lam = triple.lam
     mf, mg, mh = (
         _superlevel_counts(fn.values, levels) * fn.step
@@ -234,12 +230,7 @@ def regularize(profile: LevelProfile) -> LevelProfile:
     )
 
 
-def build_bubble(
-    profile: LevelProfile,
-    floor_level: float,
-    step: float | None = None,
-    window: tuple[float, float] | None = None,
-) -> GridFunction:
+def build_bubble(profile: LevelProfile, floor_level: float, step: float) -> GridFunction:
     """Rebuild the function whose superlevel sets are the recorded intervals.
 
     For a regularized profile with nested intervals ``(a_k, b_k)`` at
@@ -258,11 +249,12 @@ def build_bubble(
     Args:
         profile: A regularized profile.
         floor_level: Levels below this are dropped.
-        step: Output cell width; defaults to (widest interval)/2048.
-        window: Output window; defaults to the widest recorded interval.
+        step: Output cell width.
 
-    A degenerate profile (no usable level at or above the floor) produces
-    the zero function on the fallback window.
+    The output window is the widest recorded interval at or above the
+    floor.  A degenerate profile (no usable level at or above the floor)
+    produces the zero function on the widest usable interval, or on
+    [0, 1) when no level is usable.
 
     Raises:
         DomainError: If the profile is not regularized, or its usable
@@ -287,10 +279,6 @@ def build_bubble(
             hi = float(profile.right[usable].max())
         else:
             lo, hi = 0.0, 1.0
-    if window is not None:
-        lo, hi = float(window[0]), float(window[1])
-    if step is None:
-        step = (hi - lo) / 2048.0 if hi > lo else 1.0
     n = max(1, int(np.ceil((hi - lo) / step - 1e-9)))
     centers = lo + step * (np.arange(n) + 0.5)
     # Levels ascend and the intervals are nested, so the levels whose

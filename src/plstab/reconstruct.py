@@ -27,14 +27,13 @@ are scanned and how coarsely, from the target and witness windows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
 from .gridfn import DomainError, GridFunction, _dumps, _l1_shifts, l1_distance
 from .plcore import (
-    DeficitReport,
     PLTriple,
     _check_lambda,
     _nearest,
@@ -304,11 +303,7 @@ def _inverse_nondecreasing(T: np.ndarray, u: np.ndarray, x: np.ndarray, top: flo
     return out
 
 
-def from_envelopes(
-    env: EnvelopePair,
-    floor_level: float | None = None,
-    step: float | None = None,
-) -> GridFunction:
+def from_envelopes(env: EnvelopePair, floor_level: float, step: float) -> GridFunction:
     """Rebuild the log-concave function with the given boundary envelopes.
 
     The hypograph of the log-density is recovered as the region between
@@ -326,12 +321,13 @@ def from_envelopes(
     Args:
         env: Monotonized envelopes (lower nondecreasing, upper
             nonincreasing, lower <= upper on the shared domain).
-        floor_level: Truncation level; defaults to ``exp(T_lo)``.  Cells
-            whose rebuilt value falls below it are set to 0.
-        step: Output cell width; defaults to (support width)/4096.
+        floor_level: Positive truncation level.  Cells whose rebuilt
+            value falls below it, or below ``exp(T_lo)``, are set to 0.
+        step: Output cell width.
 
     Raises:
-        DomainError: If the envelopes cross or are not monotone.
+        DomainError: If the envelopes cross or are not monotone, or if
+            ``floor_level`` is not positive.
     """
     T = np.asarray(env.T, dtype=float)
     a = np.asarray(env.lower, dtype=float)
@@ -349,15 +345,11 @@ def from_envelopes(
         raise DomainError("upper envelope must be nonincreasing (monotonize first)")
     a = np.minimum(a, b)
     T_lo, T_hi = float(T[0]), float(T[-1])
-    if floor_level is None:
-        floor_level = math.exp(T_lo)
     if floor_level <= 0:
         raise DomainError(f"floor_level must be positive, got {floor_level}")
     T_floor = math.log(floor_level)
     lo = float(a[0])
     hi = float(b[0])
-    if step is None:
-        step = (hi - lo) / 4096.0 if hi > lo else 1.0
     n = max(1, int(np.ceil((hi - lo) / step - 1e-9)))
     centers = lo + step * (np.arange(n) + 0.5)
     # Left branch: last T where the left boundary is still <= x.
@@ -497,7 +489,7 @@ class StabilityReport:
     log10_bound: float | None
     hypothesis_satisfied: bool
     constants: TheoremConstants
-    stage_flags: dict = field(default_factory=dict)
+    stage_flags: dict
 
     def to_json_dict(self) -> dict:
         return {

@@ -12,7 +12,6 @@ grid.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -28,6 +27,9 @@ __all__ = [
     "random_grid_function",
     "perturbed_pair",
 ]
+
+# Share of the cells that ``random_grid_function`` sets to zero.
+_ZERO_FRACTION = 0.2
 
 
 def rng_from(seed: int | np.random.Generator) -> np.random.Generator:
@@ -164,9 +166,9 @@ def random_grid_function(
     seed: int | np.random.Generator,
     step: float = 1e-3,
     window: tuple[float, float] = (-4.0, 4.0),
-    zero_fraction: float = 0.2,
 ) -> GridFunction:
-    """Random nonnegative function: bumps, noise, and hard zeros."""
+    """Random nonnegative function: bumps, noise, and hard zeros (each cell
+    is zero with probability 0.2)."""
     rng = rng_from(seed)
     lo, hi = _aligned_window(*window, step)
     n = int(round((hi - lo) / step))
@@ -178,7 +180,7 @@ def random_grid_function(
         amp = rng.uniform(0.2, 2.0)
         vals += amp * np.exp(-(((centers - c) / width) ** 2))
     vals *= rng.uniform(0.5, 1.5, size=n)
-    mask = rng.random(n) < zero_fraction
+    mask = rng.random(n) < _ZERO_FRACTION
     vals[mask] = 0.0
     if vals.max() <= 0:
         vals[n // 2] = 1.0

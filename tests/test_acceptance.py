@@ -264,7 +264,7 @@ def test_tail_checks_pass_on_seeded_family():
         checked += 1
     for seed in range(44):
         phi = random_log_concave(seed, step=2e-3)
-        rows = check_logconcave_tails(phi, logconcave_tol=1e-6)
+        rows = check_logconcave_tails(phi)
         assert all(r.passed for r in rows), seed
         checked += 1
     assert checked == 50
@@ -279,7 +279,7 @@ def test_2d_reduction_squares_and_gaussian():
     f = GridFunction2D((0.0, 0.0), (step, step), np.ones((20, 20)))
     g = GridFunction2D((0.0, 0.0), (step, step), np.ones((40, 40)))
     h = GridFunction2D((0.0, 0.0), (step, step), np.ones((30, 30)))
-    rep = reduced_deficit(Triple2D(f, g, h, 0.5), n_samples=4000, seed=0)
+    rep = reduced_deficit(Triple2D(f, g, h, 0.5))
     assert rep.deficit_2d.epsilon == pytest.approx(0.125, abs=1e-12)
     assert rep.epsilon <= 0.125 + 5e-3
     assert rep.condition_2d_violations == 0
@@ -291,9 +291,7 @@ def test_2d_reduction_squares_and_gaussian():
     v = np.exp(-(c**2))
     fg = GridFunction2D((-half, -half), (s2, s2), np.outer(v, v))
     # At lam = 1/2 the product Gaussian sup-convolves to itself.
-    rep_g = reduced_deficit(
-        Triple2D(fg, fg, fg, 0.5), level_count=512, n_samples=4000, seed=0
-    )
+    rep_g = reduced_deficit(Triple2D(fg, fg, fg, 0.5))
     assert abs(rep_g.epsilon) <= 1e-2
     assert time.monotonic() - start < 30.0
 

@@ -195,11 +195,11 @@ def test_envelope_pair_validation():
     T = np.array([0.0, 1.0, 2.0])
     lower = np.array([-1.0, -1.0, -1.0])
     upper = np.array([1.0, 1.0, 1.0])
-    EnvelopePair(T, lower, upper)
+    EnvelopePair(T, lower, upper, 0.0, 0.0)
     with pytest.raises(DomainError):
-        EnvelopePair(np.array([0.0, 0.0, 1.0]), lower, upper)
+        EnvelopePair(np.array([0.0, 0.0, 1.0]), lower, upper, 0.0, 0.0)
     with pytest.raises(DomainError):
-        EnvelopePair(T[:2], lower[:2], upper[:3])
+        EnvelopePair(T[:2], lower[:2], upper[:3], 0.0, 0.0)
 
 
 # -- three_point_check --------------------------------------------------------------

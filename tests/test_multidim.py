@@ -352,7 +352,7 @@ def test_deficit_2d_rejects_infinite_h_mass():
 def test_reduction_equality_squares():
     f = square(1.0, step=0.05)
     h = sup_convolution_2d(f, f, 0.5)
-    rep = reduced_deficit(Triple2D(f, f, h, 0.5), n_samples=2000, seed=3)
+    rep = reduced_deficit(Triple2D(f, f, h, 0.5))
     assert abs(rep.deficit_2d.epsilon) <= 1e-9
     assert abs(rep.epsilon) <= 1e-6
     assert rep.condition_2d_violations == 0
@@ -366,7 +366,7 @@ def test_reduction_squares_counterexample():
     f = square(1.0, step=0.05)
     g = square(2.0, step=0.05)
     h = GridFunction2D((0.0, 0.0), (0.05, 0.05), np.ones((30, 30)))
-    rep = reduced_deficit(Triple2D(f, g, h, 0.5), n_samples=2000, seed=5)
+    rep = reduced_deficit(Triple2D(f, g, h, 0.5))
     assert rep.deficit_2d.epsilon == pytest.approx(0.125)
     # The reduction preserves the level structure: F(t)=1, G(t)=4, H(t)=2.25
     # for t in (0,1), so the reduced deficit is again 2.25/2 - 1 = 0.125.
@@ -380,7 +380,7 @@ def test_reduction_mass_error_small_on_smooth_instance():
     # At lam = 1/2 the sup-convolution of a centered product Gaussian with
     # itself is the same Gaussian, so h = f is the exact triple.
     f = product_gaussian(1.0, 1.0, step=0.08, half=3.0)
-    rep = reduced_deficit(Triple2D(f, f, f, 0.5), level_count=512, n_samples=1000, seed=11)
+    rep = reduced_deficit(Triple2D(f, f, f, 0.5))
     assert abs(rep.epsilon) <= 1e-2
     assert rep.mass_error <= 5e-2
 
@@ -400,7 +400,7 @@ def test_reduction_rejects_targets_beyond_the_reach():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=r"2\*\*52 cells"):
-            reduced_deficit(Triple2D(f, g, f, 0.5), n_samples=100)
+            reduced_deficit(Triple2D(f, g, f, 0.5))
 
 
 def test_reduction_condition_reads_zero_beyond_a_short_h():
@@ -410,7 +410,7 @@ def test_reduction_condition_reads_zero_beyond_a_short_h():
     short = GridFunction2D((0.0, 0.0), (0.1, 0.1), np.ones((5, 5)))
     padded = GridFunction2D((0.0, 0.0), (0.1, 0.1), np.pad(np.ones((5, 5)), (0, 5)))
     counts = [
-        reduced_deficit(Triple2D(f, f, h, 0.5), n_samples=4000, seed=0).condition_2d_violations
+        reduced_deficit(Triple2D(f, f, h, 0.5)).condition_2d_violations
         for h in (short, padded)
     ]
     assert counts[0] == counts[1] > 0

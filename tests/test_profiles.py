@@ -7,6 +7,7 @@ from plstab import (
     DomainError,
     build_bubble,
     canonical_triple,
+    deficit,
     extract_profile,
     freiman_check,
     from_samples,
@@ -16,7 +17,7 @@ from plstab import (
     quadrature_tol,
     regularize,
 )
-from plstab.profiles import LevelProfile, level_grid
+from plstab.profiles import LevelProfile, default_good_threshold, level_grid
 from plstab.synth import gaussian, indicator, random_grid_function
 
 STEP = 1e-3
@@ -163,7 +164,7 @@ def test_extract_profile_matches_level_loop(values, levels):
 def test_extract_profile_matches_level_loop_on_random_functions():
     rng = np.random.default_rng(31)
     for seed in range(10):
-        f = random_grid_function(rng, step=4e-3, window=(-2.0, 2.0), zero_fraction=0.3)
+        f = random_grid_function(rng, step=4e-3, window=(-2.0, 2.0))
         levels = level_grid(1e-4, f.sup_norm() * 1.1, 256)
         # also probe every 37th cell value exactly
         levels = np.unique(np.concatenate([levels, f.values[f.values > 0][::37]]))
@@ -198,16 +199,21 @@ def test_good_levels_box_pair_zero_excess():
     assert rep.mask.all()
 
 
+def _default_threshold(triple):
+    rep = deficit(triple)
+    return default_good_threshold(triple.tau, rep.epsilon, rep.int_h)
+
+
 def test_good_levels_default_threshold_scales():
     f = gaussian(0.0, 1.0, 1.0, step=2e-3)
     # Snap mode leaves a small positive deficit, giving a positive default.
     t = canonical_triple(f, f, 0.5, mode="snap")
     levels = level_grid(1e-3, 0.99, 16)
-    rep = good_levels(t, levels)
+    rep = good_levels(t, levels, _default_threshold(t))
     assert rep.threshold > 0.0
     # A clean halfgrid equality triple clamps the default at zero.
     t2 = canonical_triple(f, f, 0.5, mode="halfgrid")
-    rep2 = good_levels(t2, levels)
+    rep2 = good_levels(t2, levels, _default_threshold(t2))
     assert rep2.threshold >= 0.0 and np.isfinite(rep2.threshold)
 
 
@@ -321,7 +327,7 @@ def test_bubble_from_box_profile():
     f = indicator(0.0, 1.0, 1.0, STEP)
     levels = level_grid(1e-3, 1.0 - 1e-9, 256)
     p = regularize(extract_profile(f, levels))
-    fb = build_bubble(p, 0.0, step=STEP, window=f.window)
+    fb = build_bubble(p, 0.0, step=STEP)
     assert l1_distance(fb, f) <= 2 * STEP * f.sup_norm()
 
 
@@ -330,7 +336,7 @@ def test_bubble_fills_two_bump_gap():
     f = grid_function(0.0, STEP, v)
     levels = level_grid(1e-3, 1.0 - 1e-9, 256)
     p = regularize(extract_profile(f, levels))
-    fb = build_bubble(p, 0.0, step=STEP, window=(0.0, 3.0))
+    fb = build_bubble(p, 0.0, step=STEP)
     ref = grid_function(0.0, STEP, np.ones(3000))
     assert l1_distance(fb, ref) <= 3 * STEP
 
@@ -340,7 +346,7 @@ def test_bubble_triangle_round_trip():
     pos = f.values[f.values > 0]
     levels = level_grid(pos.min() * 0.999, f.sup_norm() * (1 - 1e-9), 4096)
     p = regularize(extract_profile(f, levels))
-    fb = build_bubble(p, 0.0, step=STEP, window=f.window)
+    fb = build_bubble(p, 0.0, step=STEP)
     assert l1_distance(fb, f) <= 2 * STEP * f.sup_norm()
 
 
@@ -352,7 +358,7 @@ def test_bubble_output_is_bubble_shaped():
         mid = rng.uniform(-1, 1, n)
         wid = rng.uniform(0.05, 2.0, n)
         p = regularize(make_profile(levels, mid - wid, mid + wid))
-        fb = build_bubble(p, 0.0)
+        fb = build_bubble(p, 0.0, step=0.01)
         v = fb.values
         peak = int(np.argmax(v))
         assert np.all(np.diff(v[: peak + 1]) >= 0.0)
@@ -362,24 +368,24 @@ def test_bubble_output_is_bubble_shaped():
 def test_bubble_requires_regularized():
     p = make_profile([0.5], [0.0], [1.0])
     with pytest.raises(DomainError):
-        build_bubble(p, 0.0)
+        build_bubble(p, 0.0, step=0.01)
 
 
 def test_bubble_rejects_intervals_that_are_not_nested():
     p = make_profile([0.2, 0.5], [0.0, -1.0], [1.0, 2.0], regularized=True)
     with pytest.raises(DomainError, match="nested"):
-        build_bubble(p, 0.0)
+        build_bubble(p, 0.0, step=0.01)
 
 
 def test_bubble_degenerate_profile_is_zero():
     p = make_profile([0.5, 0.7], [np.nan, np.nan], [np.nan, np.nan], regularized=True)
-    fb = build_bubble(p, 0.0)
+    fb = build_bubble(p, 0.0, step=0.01)
     assert fb.is_zero()
 
 
 def test_bubble_floor_above_all_levels_is_zero():
     p = make_profile([0.5], [0.0], [1.0], regularized=True)
-    fb = build_bubble(p, 2.0)
+    fb = build_bubble(p, 2.0, step=0.01)
     assert fb.is_zero()
 
 
@@ -395,7 +401,7 @@ def test_bubble_superlevels_match_recorded_intervals():
         assert abs(b - p.right[k]) <= 0.011
 
 
-def _bubble_loop(profile, floor_level, step=None, window=None):
+def _bubble_loop(profile, floor_level, step):
     """The per-level loop ``build_bubble`` used to run: the reference for
     its two ``searchsorted`` calls."""
     keep = profile.usable() & (profile.levels >= floor_level)
@@ -407,10 +413,6 @@ def _bubble_loop(profile, floor_level, step=None, window=None):
         hi = float(profile.right[profile.usable()].max())
     else:
         lo, hi = 0.0, 1.0
-    if window is not None:
-        lo, hi = float(window[0]), float(window[1])
-    if step is None:
-        step = (hi - lo) / 2048.0 if hi > lo else 1.0
     n = max(1, int(np.ceil((hi - lo) / step - 1e-9)))
     centers = lo + step * (np.arange(n) + 0.5)
     out = np.zeros(n)
@@ -436,10 +438,9 @@ def test_bubble_matches_the_per_level_loop():
             continue
         p = regularize(make_profile(levels, left, right, valid=valid))
         floor = float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
-        step = rng.choice([None, 0.01, 0.02, rng.uniform(0.001, 0.05)])
-        window = (-1.5, 1.5) if rng.uniform() < 0.3 else None
-        got = build_bubble(p, floor, step=step, window=window)
-        want = _bubble_loop(p, floor, step=step, window=window)
+        step = rng.choice([0.005, 0.01, 0.02, rng.uniform(0.001, 0.05)])
+        got = build_bubble(p, floor, step=step)
+        want = _bubble_loop(p, floor, step=step)
         assert got.origin == want.origin and got.step == want.step
         assert np.array_equal(got.values, want.values)
 
@@ -468,7 +469,7 @@ def test_bubble_distance_bounded_by_hull_deficit_integral():
         levels = level_grid(sup * 1e-4, sup * (1 - 1e-9), 2048)
         prof = extract_profile(f, levels)
         reg = regularize(prof)
-        fb = build_bubble(reg, floor, step=step, window=f.window)
+        fb = build_bubble(reg, floor, step=step)
         # Trapezoid integral of the hull deficit over levels >= floor.
         hd = np.where(np.isnan(prof.hull_deficit), 0.0, prof.hull_deficit)
         lv = prof.levels

@@ -171,8 +171,8 @@ def test_hull_of_zero_is_zero():
 
 def test_from_envelopes_constant_envelopes_give_box():
     T = np.linspace(-9.0, 0.0, 200)
-    env = EnvelopePair(T, np.full(200, -1.0), np.full(200, 1.0))
-    f = from_envelopes(env, step=STEP)
+    env = EnvelopePair(T, np.full(200, -1.0), np.full(200, 1.0), 0.0, 0.0)
+    f = from_envelopes(env, floor_level=math.exp(T[0]), step=STEP)
     assert f.integral() == pytest.approx(2.0, abs=4 * STEP)
     assert f.sup_norm() == pytest.approx(1.0, rel=1e-9)
     lo, hi = f.support_indices()
@@ -182,8 +182,8 @@ def test_from_envelopes_constant_envelopes_give_box():
 
 def test_from_envelopes_sqrt_gives_gaussian():
     T = np.linspace(-9.0, 0.0, 400)
-    env = EnvelopePair(T, -np.sqrt(-T), np.sqrt(-T))
-    f = from_envelopes(env, step=STEP)
+    env = EnvelopePair(T, -np.sqrt(-T), np.sqrt(-T), 0.0, 0.0)
+    f = from_envelopes(env, floor_level=math.exp(T[0]), step=STEP)
     xs = f.centers()
     ref = np.exp(-xs * xs) * (np.abs(xs) <= 3.0)
     assert float(np.sum(np.abs(f.values - ref)) * f.step) <= 5 * STEP
@@ -220,7 +220,7 @@ def test_from_envelopes_rejects_crossed_envelopes():
     lower = np.linspace(-1.0, 1.0, 50)  # ends above the upper envelope
     upper = np.zeros(50)
     with pytest.raises(DomainError):
-        from_envelopes(EnvelopePair(T, lower, upper))
+        from_envelopes(EnvelopePair(T, lower, upper, 0.0, 0.0), 1.0, STEP)
 
 
 # -- align -------------------------------------------------------------------------
