@@ -14,9 +14,7 @@ from .gridfn import (
     DomainError,
     FormatError,
     GridFunction,
-    IntervalUnion,
     from_samples,
-    grid_function,
     l1_distance,
     read_function,
     write_function,
@@ -25,13 +23,10 @@ from .plcore import (
     AmGmReport,
     ConditionReport,
     DeficitReport,
-    FreimanReport,
     PLTriple,
     amgm_stability,
     canonical_triple,
     deficit,
-    freiman_check,
-    minkowski_sum,
     quadrature_tol,
     sup_convolution,
 )

@@ -14,7 +14,7 @@ Results are plain ``CheckRow`` dataclass rows:
   ``(sup f / sup g) * (int g / int f)`` of a near-equality pair is within
   ``4 * tau**(-3/2) * sqrt(epsilon)`` of 1.  (Stage 1 of
   ``stability_decompose`` checks the same lemma with another bound,
-  ``4 * tau**(-3/2)`` on the ratio itself; ROADMAP item 6 keeps one.)
+  ``4 * tau**(-3/2)`` on the ratio itself; the ROADMAP keeps one.)
 * Truncation: cutting f and g at ``eta * sup`` changes measures/masses by
   explicitly bounded amounts when ``sqrt(epsilon) <= eta < 1``.
 * Constants table: the explicit stability constants over a tau grid.
@@ -124,7 +124,7 @@ def check_logconcave_tails(phi: GridFunction, instance_id: str = "") -> list[Che
     s_grid = np.linspace(S / _TAIL_LEVELS, S * (1.0 - 1.0 / _TAIL_LEVELS), _TAIL_LEVELS)
     for s in s_grid:
         measured = (L / S**2) * s
-        width = phi.superlevel(S - s).measure()
+        width = phi.superlevel_measure(S - s)
         # Inequality direction: width >= (L/S**2) s, so record the bound
         # side as the measured width.
         rows.append(
@@ -132,7 +132,7 @@ def check_logconcave_tails(phi: GridFunction, instance_id: str = "") -> list[Che
         )
     t_grid = np.geomspace(S * 1e-4, S / 2.0, _TAIL_LEVELS)
     for t in t_grid:
-        width = phi.superlevel(t).measure()
+        width = phi.superlevel_measure(t)
         bound = (2.0 * L / S) * abs(math.log(t / S))
         rows.append(
             _row("level_decay", f"{instance_id}:t={t:.6g}", width, bound, allowance)
@@ -205,7 +205,7 @@ def check_tail_truncation(
         phi_n = phi.scale(1.0 / phi.integral())
         S = phi_n.sup_norm()
         allowance = 3.0 * phi_n.step * S
-        width = phi_n.superlevel(eta * S, strict=False).measure()
+        width = phi_n.superlevel_measure(eta * S, strict=False)
         bound_w = tau ** (-2.5) * (1.0 / S) * kappa
         rows.append(
             _row(f"trunc_width_{name}", f"{instance_id}:eta={eta:.4g}", width, bound_w, allowance)

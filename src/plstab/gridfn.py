@@ -1,4 +1,4 @@
-"""Piecewise-constant grid functions, interval unions and grid JSON I/O.
+"""Piecewise-constant grid functions, the exact L1 distance and grid JSON I/O.
 
 A :class:`GridFunction` represents a nonnegative, compactly supported,
 piecewise-constant function: cell ``i`` is the half-open interval
@@ -10,8 +10,8 @@ Design notes
 ------------
 * Integrals are exact cell sums (``step * values.sum()``), so rescaling and
   rearrangement preserve them to machine precision.
-* Superlevel sets of a grid function are exact unions of cells and are
-  returned as an :class:`IntervalUnion`.
+* Superlevel sets of a grid function are exact unions of cells, so their
+  measures are cell counts times the step (``superlevel_measure``).
 * ``l1_distance`` integrates ``|f - g|`` over the exact common refinement
   of the two cell partitions, so it is exact for any pair of grids.
 * ``read_function`` and ``write_function`` serialize a grid function of
@@ -25,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -33,8 +33,6 @@ __all__ = [
     "DomainError",
     "FormatError",
     "GridFunction",
-    "IntervalUnion",
-    "grid_function",
     "from_samples",
     "read_function",
     "write_function",
@@ -183,24 +181,11 @@ class GridFunction:
         snapped = float(np.round(w / self.step)) * self.step
         return GridFunction(self.origin + snapped, self.step, self.values)
 
-    def superlevel(self, t: float, strict: bool = True) -> "IntervalUnion":
-        """Superlevel set ``{f > t}`` (or ``{f >= t}`` when strict=False).
-
-        The result is an exact union of grid cells.  Note that with
-        ``strict=False`` and ``t <= 0`` every cell qualifies, so the whole
-        window is returned.
-        """
-        if strict:
-            mask = self.values > t
-        else:
-            mask = self.values >= t
-        return _mask_to_intervals(mask, self.origin, self.step)
-
     def superlevel_measure(self, t: float, strict: bool = True) -> float:
-        """Measure of the superlevel set as ``count * step``.
+        """Measure of ``{f > t}`` (``{f >= t}`` when strict=False) as ``count * step``.
 
         Equimeasurable functions (identical value multisets) produce
-        bit-identical results here, unlike summing interval lengths.
+        bit-identical results.
         """
         mask = self.values > t if strict else self.values >= t
         return int(mask.sum()) * self.step
@@ -224,11 +209,6 @@ class GridFunction:
         }
 
 
-def grid_function(origin: float, step: float, values: Iterable[float]) -> GridFunction:
-    """Convenience constructor."""
-    return GridFunction(origin, step, _as_float_array(values))
-
-
 def from_samples(fn, lo: float, hi: float, step: float) -> GridFunction:
     """Sample a callable at cell centers over ``[lo, hi)``.
 
@@ -247,84 +227,6 @@ def from_samples(fn, lo: float, hi: float, step: float) -> GridFunction:
     n = int(np.ceil((hi - lo) / step - 1e-12))
     centers = lo + step * (np.arange(n) + 0.5)
     return GridFunction(lo, step, np.asarray(fn(centers), dtype=float))
-
-
-def _mask_to_intervals(mask: np.ndarray, origin: float, step: float) -> "IntervalUnion":
-    """Convert a boolean cell mask to the union of the marked cells."""
-    if not mask.any():
-        return IntervalUnion(())
-    padded = np.concatenate([[False], mask, [False]])
-    flips = np.flatnonzero(padded[1:] != padded[:-1])
-    starts, stops = flips[0::2], flips[1::2]
-    intervals = tuple(
-        (origin + a * step, origin + b * step) for a, b in zip(starts, stops)
-    )
-    return IntervalUnion(intervals)
-
-
-@dataclass(frozen=True)
-class IntervalUnion:
-    """Finite union of disjoint half-open intervals, sorted left to right.
-
-    The canonical form merges overlapping or touching intervals, so
-    ``right_i < left_{i+1}`` always holds between consecutive members.
-    """
-
-    intervals: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        for left, right in self.intervals:
-            if not (np.isfinite(left) and np.isfinite(right) and left < right):
-                raise DomainError(f"invalid interval ({left}, {right})")
-        for (_, r1), (l2, _) in zip(self.intervals, self.intervals[1:]):
-            if not r1 < l2:
-                raise DomainError(
-                    "intervals must be disjoint, sorted, and non-touching; "
-                    "use IntervalUnion.of() to normalize"
-                )
-
-    @staticmethod
-    def of(intervals: Sequence[tuple[float, float]]) -> "IntervalUnion":
-        """Normalize arbitrary intervals: drop empties, sort, merge."""
-        items = [
-            (float(a), float(b)) for a, b in intervals if float(b) > float(a)
-        ]
-        items.sort()
-        merged: list[tuple[float, float]] = []
-        for a, b in items:
-            if merged and a <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-            else:
-                merged.append((a, b))
-        return IntervalUnion(tuple(merged))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
-    def measure(self) -> float:
-        """Total length."""
-        return float(sum(b - a for a, b in self.intervals))
-
-    def hull(self) -> tuple[float, float] | None:
-        """Smallest enclosing interval, or None when empty."""
-        if self.is_empty:
-            return None
-        return (self.intervals[0][0], self.intervals[-1][1])
-
-    def hull_deficit(self) -> float:
-        """Length of the hull minus the measure (0 when empty)."""
-        h = self.hull()
-        if h is None:
-            return 0.0
-        return (h[1] - h[0]) - self.measure()
-
-    def issubset(self, other: "IntervalUnion") -> bool:
-        """True if every interval fits inside some interval of ``other``."""
-        for a, b in self.intervals:
-            if not any(oa <= a and b <= ob for oa, ob in other.intervals):
-                return False
-        return True
 
 
 # -- exact L1 distance ----------------------------------------------------

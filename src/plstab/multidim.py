@@ -119,11 +119,6 @@ class GridFunctionND:
     def sup_norm(self) -> float:
         return float(self.values.max())
 
-    def superlevel_measure(self, t: float, strict: bool = True) -> float:
-        """Volume of ``{f > t}`` (or >=) as an exact cell count."""
-        mask = self.values > t if strict else self.values >= t
-        return float(mask.sum()) * self.cell_area
-
     def to_json_dict(self) -> dict:
         return {
             "origin": list(self.origin),

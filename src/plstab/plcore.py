@@ -19,7 +19,6 @@ This module provides:
 * :class:`PLTriple` with a grid-tolerant check of condition (*),
 * ``sup_convolution`` building the canonical smallest h for given (f, g),
 * ``deficit`` with exact cell-sum integrals,
-* Minkowski sums of interval unions and a sumset near-equality check,
 * a weighted AM-GM stability helper.
 """
 
@@ -34,7 +33,7 @@ from typing import Literal
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .gridfn import DomainError, GridFunction, IntervalUnion, _dumps
+from .gridfn import DomainError, GridFunction, _dumps
 
 __all__ = [
     "PLTriple",
@@ -43,9 +42,6 @@ __all__ = [
     "sup_convolution",
     "deficit",
     "quadrature_tol",
-    "minkowski_sum",
-    "freiman_check",
-    "FreimanReport",
     "amgm_stability",
     "AmGmReport",
 ]
@@ -724,93 +720,6 @@ def deficit(triple: PLTriple) -> DeficitReport:
         geo_mean=geo,
         epsilon=int_h / geo - 1.0,
         a=int_g / int_f,
-    )
-
-
-# -- interval-union arithmetic ----------------------------------------------
-
-
-def minkowski_sum(
-    A: IntervalUnion, B: IntervalUnion, alpha: float = 1.0, beta: float = 1.0
-) -> IntervalUnion:
-    """Scaled Minkowski sum ``alpha*A + beta*B`` of interval unions.
-
-    Scaling factors must be nonnegative.  If either union is empty the
-    result is empty.
-    """
-    for name, c in (("alpha", alpha), ("beta", beta)):
-        if not (np.isfinite(c) and c >= 0):
-            raise DomainError(f"{name} must be nonnegative and finite, got {c}")
-    if A.is_empty or B.is_empty:
-        return IntervalUnion(())
-    pieces = []
-    for a1, a2 in A.intervals:
-        for b1, b2 in B.intervals:
-            lo = alpha * a1 + beta * b1
-            hi = alpha * a2 + beta * b2
-            if hi > lo:
-                pieces.append((lo, hi))
-    return IntervalUnion.of(pieces)
-
-
-@dataclass(frozen=True)
-class FreimanReport:
-    """Near-equality structure check for sumsets of interval unions.
-
-    When ``|A + B| < |A| + |B| + eps`` with ``eps < min(|A|, |B|)``, both
-    summands must be within ``eps`` of their convex hulls.
-
-    Attributes:
-        eps: Measured sumset excess ``|A + B| - |A| - |B|``.
-        hull_deficit_A: ``|hull(A)| - |A|``.
-        hull_deficit_B: ``|hull(B)| - |B|``.
-        hypothesis_met: True when ``eps < min(|A|, |B|)`` strictly.
-        conclusion_holds: True when the hypothesis fails (vacuous) or both
-            hull deficits are at most ``eps``.
-    """
-
-    eps: float
-    hull_deficit_A: float
-    hull_deficit_B: float
-    hypothesis_met: bool
-    conclusion_holds: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "hull_deficit_A": self.hull_deficit_A,
-            "hull_deficit_B": self.hull_deficit_B,
-            "hypothesis_met": self.hypothesis_met,
-            "conclusion_holds": self.conclusion_holds,
-        }
-
-
-def freiman_check(A: IntervalUnion, B: IntervalUnion) -> FreimanReport:
-    """Measure the sumset excess of ``A + B`` and test hull closeness.
-
-    Raises:
-        DomainError: If either union is empty.
-    """
-    if A.is_empty or B.is_empty:
-        raise DomainError("freiman_check requires non-empty interval unions")
-    mA, mB = A.measure(), B.measure()
-    S = minkowski_sum(A, B)
-    eps = S.measure() - mA - mB
-    hdA = A.hull_deficit()
-    hdB = B.hull_deficit()
-    # Grid-free computation is exact here, so compare with a whisker of
-    # floating-point slack only.  The hypothesis must hold strictly: at the
-    # boundary eps == min(|A|, |B|) (where rounding could land an ulp on
-    # either side) strictness cannot be certified, so it is reported unmet.
-    tiny = 1e-12 * max(1.0, mA + mB)
-    hypothesis = eps < min(mA, mB) - tiny
-    holds = (not hypothesis) or (hdA <= eps + tiny and hdB <= eps + tiny)
-    return FreimanReport(
-        eps=eps,
-        hull_deficit_A=hdA,
-        hull_deficit_B=hdB,
-        hypothesis_met=hypothesis,
-        conclusion_holds=holds,
     )
 
 

@@ -16,7 +16,7 @@ from plstab import (
     constants_table,
     deficit,
     from_samples,
-    grid_function,
+    GridFunction,
 )
 from plstab.synth import gaussian, indicator
 
@@ -65,12 +65,12 @@ def test_tails_low_mass_matches_exponential_closed_form():
 def test_tails_reject_non_log_concave():
     v = np.concatenate([np.ones(50), np.zeros(50), np.ones(50)])
     with pytest.raises(DomainError):
-        check_logconcave_tails(grid_function(0.0, 0.01, v))
+        check_logconcave_tails(GridFunction(0.0, 0.01, v))
 
 
 def test_tails_reject_zero():
     with pytest.raises(DomainError):
-        check_logconcave_tails(grid_function(0.0, 0.1, np.zeros(8)))
+        check_logconcave_tails(GridFunction(0.0, 0.1, np.zeros(8)))
 
 
 # -- check_sup_ratio -------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Grid-function container, interval unions, L1 distance, and JSON I/O."""
+"""Grid-function container, superlevel measures, L1 distance, and JSON I/O."""
 
 import json
 import math
@@ -11,9 +11,7 @@ from plstab import (
     DomainError,
     FormatError,
     GridFunction,
-    IntervalUnion,
     from_samples,
-    grid_function,
     l1_distance,
     read_function,
     write_function,
@@ -24,7 +22,7 @@ STEP = 1e-3
 
 
 def unit_box(step=0.01):
-    return grid_function(0.0, step, np.ones(int(round(1.0 / step))))
+    return GridFunction(0.0, step, np.ones(int(round(1.0 / step))))
 
 
 def gaussian_grid(step=STEP, window=(-6.0, 6.0)):
@@ -36,23 +34,23 @@ def gaussian_grid(step=STEP, window=(-6.0, 6.0)):
 
 def test_rejects_negative_values():
     with pytest.raises(DomainError):
-        grid_function(0.0, 0.1, np.array([1.0, -0.5, 2.0]))
+        GridFunction(0.0, 0.1, np.array([1.0, -0.5, 2.0]))
 
 
 def test_rejects_non_finite_values():
     with pytest.raises(DomainError):
-        grid_function(0.0, 0.1, np.array([1.0, np.nan]))
+        GridFunction(0.0, 0.1, np.array([1.0, np.nan]))
     with pytest.raises(DomainError):
-        grid_function(0.0, 0.1, np.array([np.inf, 1.0]))
+        GridFunction(0.0, 0.1, np.array([np.inf, 1.0]))
 
 
 def test_rejects_bad_step_and_shape():
     with pytest.raises(DomainError):
-        grid_function(0.0, 0.0, np.ones(3))
+        GridFunction(0.0, 0.0, np.ones(3))
     with pytest.raises(DomainError):
-        grid_function(0.0, -1.0, np.ones(3))
+        GridFunction(0.0, -1.0, np.ones(3))
     with pytest.raises(DomainError):
-        grid_function(0.0, 0.1, np.ones((2, 2)))
+        GridFunction(0.0, 0.1, np.ones((2, 2)))
 
 
 def test_values_are_immutable():
@@ -61,13 +59,13 @@ def test_values_are_immutable():
         f.values[0] = 3.0
     # The constructor must copy: mutating the source array does not leak in.
     src = np.ones(4)
-    g = grid_function(0.0, 1.0, src)
+    g = GridFunction(0.0, 1.0, src)
     src[0] = 7.0
     assert g.values[0] == 1.0
 
 
 def test_edges_and_centers_are_consistent():
-    f = grid_function(-1.0, 0.25, np.ones(8))
+    f = GridFunction(-1.0, 0.25, np.ones(8))
     assert f.edges().size == 9
     assert np.allclose(f.centers(), f.edges()[:-1] + 0.125)
     assert f.window == (-1.0, 1.0)
@@ -81,7 +79,7 @@ def test_integral_unit_box():
 
 
 def test_integral_zero_function():
-    z = grid_function(0.0, 0.1, np.zeros(10))
+    z = GridFunction(0.0, 0.1, np.zeros(10))
     assert z.integral() == 0.0
     assert z.is_zero()
 
@@ -105,7 +103,7 @@ def test_sup_norm_values():
 
 
 def test_call_inside_and_outside():
-    f = grid_function(0.0, 0.5, np.array([1.0, 2.0]))
+    f = GridFunction(0.0, 0.5, np.array([1.0, 2.0]))
     x = np.array([-0.1, 0.0, 0.49, 0.5, 0.99, 1.0, 3.0])
     assert np.array_equal(f(x), [0.0, 1.0, 1.0, 2.0, 2.0, 0.0, 0.0])
 
@@ -119,7 +117,7 @@ def test_call_far_points_read_zero_without_warning():
         assert np.array_equal(f(x), [0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
     # Near the window the values are the direct formula's, edges included.
     rng = np.random.default_rng(5)
-    g = grid_function(-1.0, 0.1, rng.uniform(0.5, 1.0, 20))
+    g = GridFunction(-1.0, 0.1, rng.uniform(0.5, 1.0, 20))
     x = np.concatenate((rng.uniform(-1.5, 1.5, 500), g.edges(), np.nextafter(g.edges(), -9)))
     idx = np.floor((x - g.origin) / g.step).astype(np.int64)
     inside = (idx >= 0) & (idx < g.size)
@@ -167,36 +165,45 @@ def test_shift_gaussian_against_analytic():
 # -- superlevel sets -----------------------------------------------------------
 
 
+def _runs(f, mask):
+    """The runs of marked cells of f, as (left, right) intervals."""
+    flips = np.flatnonzero(np.diff(np.concatenate([[0], mask.astype(int), [0]])))
+    edges = f.origin + flips * f.step
+    return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
+
+
 def test_superlevel_two_bump():
     v = np.concatenate([np.ones(100), np.zeros(100), np.ones(100)])
-    f = grid_function(0.0, 0.01, v)
-    u = f.superlevel(0.5)
-    assert u.intervals == ((0.0, 1.0), (2.0, 3.0))
+    f = GridFunction(0.0, 0.01, v)
+    assert _runs(f, f.values > 0.5) == [(0.0, 1.0), (2.0, 3.0)]
+    assert f.superlevel_measure(0.5) == 2.0
 
 
 def test_superlevel_above_sup_is_empty():
     f = unit_box()
-    assert f.superlevel(1.5).is_empty
+    assert f.superlevel_measure(1.5) == 0.0
     # Strict at the sup itself is empty too.
-    assert f.superlevel(1.0, strict=True).is_empty
-    assert not f.superlevel(1.0, strict=False).is_empty
+    assert f.superlevel_measure(1.0, strict=True) == 0.0
+    assert f.superlevel_measure(1.0, strict=False) > 0.0
 
 
 def test_superlevel_triangle():
     f = from_samples(lambda x: np.clip(1.0 - np.abs(x), 0.0, None), -1.0, 1.0, STEP)
-    (a, b), = f.superlevel(0.5).intervals
+    (a, b), = _runs(f, f.values > 0.5)
     assert abs(a - (-0.5)) <= STEP
     assert abs(b - 0.5) <= STEP
+    assert f.superlevel_measure(0.5) == pytest.approx(b - a, rel=1e-12)
 
 
 def test_superlevel_count_matches_measure():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        f = grid_function(0.0, 0.125, rng.uniform(0, 1, 40))
+        f = GridFunction(0.0, 0.125, rng.uniform(0, 1, 40))
         t = rng.uniform(0, 1)
         cnt = int(np.sum(f.values > t))
         assert f.superlevel_measure(t) == cnt * f.step
-        assert f.superlevel(t).measure() == pytest.approx(cnt * f.step, rel=1e-12)
+        length = sum(b - a for a, b in _runs(f, f.values > t))
+        assert length == pytest.approx(cnt * f.step, rel=1e-12)
 
 
 # -- support handling ----------------------------------------------------------
@@ -204,7 +211,7 @@ def test_superlevel_count_matches_measure():
 
 def test_support_trim_pad():
     v = np.array([0.0, 0.0, 1.0, 2.0, 0.0])
-    f = grid_function(0.0, 1.0, v)
+    f = GridFunction(0.0, 1.0, v)
     lo, hi = f.support_indices()
     assert (lo, hi) == (2, 4)
     p = f.padded(3, 3)
@@ -223,13 +230,13 @@ def test_l1_identical_is_zero():
 
 def test_l1_nested_boxes():
     f = unit_box(STEP)
-    g = grid_function(0.0, STEP, np.ones(2000))
+    g = GridFunction(0.0, STEP, np.ones(2000))
     assert l1_distance(f, g) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_l1_offset_boxes():
-    f = grid_function(0.0, 0.01, np.ones(100))
-    g = grid_function(0.5, 0.01, np.ones(100))
+    f = GridFunction(0.0, 0.01, np.ones(100))
+    g = GridFunction(0.5, 0.01, np.ones(100))
     assert l1_distance(f, g) == pytest.approx(1.0, abs=2 * 0.01)
 
 
@@ -249,8 +256,8 @@ def test_l1_equal_step_fractional_offset_matches_bruteforce():
     for _ in range(25):
         n1, n2 = rng.integers(5, 40, 2)
         step = 0.1
-        f = grid_function(rng.uniform(-1, 1), step, rng.uniform(0, 2, n1))
-        g = grid_function(
+        f = GridFunction(rng.uniform(-1, 1), step, rng.uniform(0, 2, n1))
+        g = GridFunction(
             f.origin + step * rng.integers(-3, 3) + step * rng.uniform(0, 1),
             step,
             rng.uniform(0, 2, n2),
@@ -263,8 +270,8 @@ def test_l1_integer_step_ratio_matches_bruteforce():
     for _ in range(25):
         m = int(rng.integers(2, 5))
         step = 0.06
-        f = grid_function(0.0, step, rng.uniform(0, 1, int(rng.integers(4, 20))))
-        g = grid_function(
+        f = GridFunction(0.0, step, rng.uniform(0, 1, int(rng.integers(4, 20))))
+        g = GridFunction(
             rng.integers(-2, 2) * step / m, step / m, rng.uniform(0, 1, int(rng.integers(4, 50)))
         )
         assert l1_distance(f, g) == pytest.approx(_l1_bruteforce(f, g), rel=1e-10, abs=1e-12)
@@ -273,14 +280,14 @@ def test_l1_integer_step_ratio_matches_bruteforce():
 def test_l1_incommensurate_steps_matches_bruteforce():
     rng = np.random.default_rng(13)
     for _ in range(10):
-        f = grid_function(0.0, 0.1, rng.uniform(0, 1, 12))
-        g = grid_function(0.037, 0.1 * math.sqrt(2), rng.uniform(0, 1, 9))
+        f = GridFunction(0.0, 0.1, rng.uniform(0, 1, 12))
+        g = GridFunction(0.037, 0.1 * math.sqrt(2), rng.uniform(0, 1, 9))
         assert l1_distance(f, g) == pytest.approx(_l1_bruteforce(f, g), rel=1e-10, abs=1e-12)
 
 
 def test_l1_symmetry_and_triangle():
     rng = np.random.default_rng(14)
-    fs = [grid_function(rng.uniform(-1, 1), 0.05, rng.uniform(0, 1, 30)) for _ in range(3)]
+    fs = [GridFunction(rng.uniform(-1, 1), 0.05, rng.uniform(0, 1, 30)) for _ in range(3)]
     a, b, c = fs
     assert l1_distance(a, b) == pytest.approx(l1_distance(b, a), rel=1e-12)
     assert l1_distance(a, c) <= l1_distance(a, b) + l1_distance(b, c) + 1e-12
@@ -290,7 +297,7 @@ def _rough(rng, origin, step, n):
     """Random cell values with hard zeros."""
     vals = rng.uniform(0, 2, n)
     vals[rng.random(n) < 0.3] = 0.0
-    return grid_function(origin, step, vals)
+    return GridFunction(origin, step, vals)
 
 
 @pytest.mark.parametrize(
@@ -337,40 +344,6 @@ def test_from_samples_cell_count():
 def test_from_samples_rejects_negative():
     with pytest.raises(DomainError, match="negative"):
         from_samples(lambda x: np.sin(8 * x), 0.0, 3.0, 0.01)
-
-
-# -- IntervalUnion -------------------------------------------------------------
-
-
-def test_interval_union_normalization():
-    u = IntervalUnion.of([(2.0, 3.0), (0.0, 1.0), (0.5, 1.5)])
-    assert u.intervals == ((0.0, 1.5), (2.0, 3.0))
-    assert u.measure() == pytest.approx(2.5)
-    assert u.hull() == (0.0, 3.0)
-    assert u.hull_deficit() == pytest.approx(0.5)
-
-
-def test_interval_union_touching_merges():
-    u = IntervalUnion.of([(0.0, 1.0), (1.0, 2.0)])
-    assert u.intervals == ((0.0, 2.0),)
-
-
-def test_interval_union_contains_and_subset():
-    u = IntervalUnion.of([(0.0, 1.0), (2.0, 3.0)])
-    assert IntervalUnion.of([(0.5, 0.6)]).issubset(u)
-    assert not IntervalUnion.of([(1.5, 1.6)]).issubset(u)
-    v = IntervalUnion.of([(0.1, 0.9), (2.2, 2.8)])
-    assert v.issubset(u) and not u.issubset(v)
-
-
-def test_interval_union_empty():
-    e = IntervalUnion.of([])
-    assert e.is_empty and e.measure() == 0.0
-
-
-def test_hull_deficit_two_blocks():
-    u = IntervalUnion.of([(0.0, 1.0), (2.0, 3.0)])
-    assert u.hull_deficit() == pytest.approx(1.0)
 
 
 # -- JSON round trip -----------------------------------------------------------

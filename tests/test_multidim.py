@@ -76,9 +76,13 @@ def test_2d_immutable_and_measures():
     assert f.cell_area == pytest.approx(0.01)
     assert f.integral() == pytest.approx(2.0)
     assert f.sup_norm() == 2.0
-    assert f.superlevel_measure(1.0) == pytest.approx(1.0)
-    assert f.superlevel_measure(2.0) == 0.0
-    assert f.superlevel_measure(2.0, strict=False) == pytest.approx(1.0)
+    # Strict volumes at 1 and 2, and the non-strict volume at 2: ``{f > t}``
+    # at the float just below 2.
+    levels = np.array([1.0, np.nextafter(2.0, 0.0), 2.0])
+    strict_1, at_2, strict_2 = distribution(f, levels).measures
+    assert strict_1 == pytest.approx(1.0)
+    assert strict_2 == 0.0
+    assert at_2 == pytest.approx(1.0)
 
 
 # -- distribution ------------------------------------------------------------------

@@ -9,10 +9,9 @@ from plstab import (
     canonical_triple,
     deficit,
     extract_profile,
-    freiman_check,
     from_samples,
     good_levels,
-    grid_function,
+    GridFunction,
     l1_distance,
     quadrature_tol,
     regularize,
@@ -73,7 +72,7 @@ def test_profile_of_box():
 
 def test_profile_of_two_bump():
     v = np.concatenate([np.ones(1000), np.zeros(1000), np.ones(1000)])
-    f = grid_function(0.0, STEP, v)
+    f = GridFunction(0.0, STEP, v)
     p = extract_profile(f, np.array([0.5]))
     assert p.left[0] == pytest.approx(0.0)
     assert p.right[0] == pytest.approx(3.0)
@@ -100,7 +99,7 @@ def test_profile_levels_above_sup_are_invalid():
 def test_profile_width_matches_superlevel_measure():
     rng = np.random.default_rng(8)
     for _ in range(20):
-        f = grid_function(0.0, 0.01, rng.uniform(0, 1, 200))
+        f = GridFunction(0.0, 0.01, rng.uniform(0, 1, 200))
         t = rng.uniform(0.0, 0.9)
         p = extract_profile(f, np.array([t]))
         if not p.nonempty[0]:
@@ -152,7 +151,7 @@ def plateau_values():
     ],
 )
 def test_extract_profile_matches_level_loop(values, levels):
-    f = grid_function(-0.37, 0.01, values)
+    f = GridFunction(-0.37, 0.01, values)
     p = extract_profile(f, levels)
     left, right, valid, deficit = loop_extract_profile(f, levels)
     assert p.left.tobytes() == left.tobytes()
@@ -333,11 +332,11 @@ def test_bubble_from_box_profile():
 
 def test_bubble_fills_two_bump_gap():
     v = np.concatenate([np.ones(1000), np.zeros(1000), np.ones(1000)])
-    f = grid_function(0.0, STEP, v)
+    f = GridFunction(0.0, STEP, v)
     levels = level_grid(1e-3, 1.0 - 1e-9, 256)
     p = regularize(extract_profile(f, levels))
     fb = build_bubble(p, 0.0, step=STEP)
-    ref = grid_function(0.0, STEP, np.ones(3000))
+    ref = GridFunction(0.0, STEP, np.ones(3000))
     assert l1_distance(fb, ref) <= 3 * STEP
 
 
@@ -395,8 +394,10 @@ def test_bubble_superlevels_match_recorded_intervals():
     )
     fb = build_bubble(p, 0.0, step=0.01)
     for k in range(3):
-        u = fb.superlevel(p.levels[k] * (1 - 1e-12), strict=False)
-        (a, b), = u.intervals
+        cells = np.flatnonzero(fb.values >= p.levels[k] * (1 - 1e-12))
+        assert cells[-1] - cells[0] + 1 == cells.size  # one run of cells
+        a = fb.origin + cells[0] * fb.step
+        b = fb.origin + (cells[-1] + 1) * fb.step
         assert abs(a - p.left[k]) <= 0.011
         assert abs(b - p.right[k]) <= 0.011
 
@@ -419,7 +420,7 @@ def _bubble_loop(profile, floor_level, step):
     # Levels ascend, intervals are nested: later (higher) levels overwrite.
     for t, ak, bk in zip(lv, a, b):
         out[(centers >= ak) & (centers < bk)] = t
-    return grid_function(lo, step, out)
+    return GridFunction(lo, step, out)
 
 
 def test_bubble_matches_the_per_level_loop():
@@ -460,7 +461,7 @@ def test_bubble_distance_bounded_by_hull_deficit_integral():
         step = 0.005
         n1, ng, n2 = (max(1, int(round(w / step))) for w in (w1, gap, w2))
         v = np.concatenate([np.full(n1, h1), np.zeros(ng), np.full(n2, h2)])
-        f = grid_function(0.0, step, v)
+        f = GridFunction(0.0, step, v)
         floor = rng.uniform(0.0, 0.15)
         sup = f.sup_norm()
         # Levels must cover the whole value range, not just the distinct
@@ -488,14 +489,3 @@ def test_bubble_distance_bounded_by_hull_deficit_integral():
             + 4 * step
         )
         assert l1_distance(f, fb) <= budget
-
-
-def test_freiman_linkage_on_near_equal_level_sets():
-    # When the sumset excess of level-set pairs is small, hull deficits are
-    # controlled by it.
-    f = indicator(0.0, 1.0, 1.0, STEP)
-    g = indicator(0.1, 1.3, 1.0, STEP)
-    for t in (0.25, 0.5, 0.75):
-        rep = freiman_check(f.superlevel(t), g.superlevel(t))
-        if rep.hypothesis_met:
-            assert rep.conclusion_holds

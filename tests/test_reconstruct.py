@@ -17,7 +17,7 @@ from plstab import (
     deficit,
     from_envelopes,
     from_samples,
-    grid_function,
+    GridFunction,
     is_log_concave,
     l1_distance,
     log_concave_hull,
@@ -89,7 +89,7 @@ def test_log_concave_gaussian():
 
 def test_log_concave_two_bump_fails():
     v = np.concatenate([np.ones(100), np.zeros(100), np.ones(100)])
-    rep = is_log_concave(grid_function(0.0, 0.01, v))
+    rep = is_log_concave(GridFunction(0.0, 0.01, v))
     assert not rep.is_log_concave
     assert not rep.support_contiguous
 
@@ -100,12 +100,12 @@ def test_log_concave_truncated_exponential():
 
 
 def test_log_concave_trivial_cases():
-    assert is_log_concave(grid_function(0.0, 0.1, np.zeros(4))).is_log_concave
-    assert is_log_concave(grid_function(0.0, 0.1, np.array([0.0, 2.0, 0.0]))).is_log_concave
+    assert is_log_concave(GridFunction(0.0, 0.1, np.zeros(4))).is_log_concave
+    assert is_log_concave(GridFunction(0.0, 0.1, np.array([0.0, 2.0, 0.0]))).is_log_concave
 
 
 def test_log_concave_planted_dip():
-    rep = is_log_concave(grid_function(0.0, 0.1, np.array([1.0, 0.5, 1.0])))
+    rep = is_log_concave(GridFunction(0.0, 0.1, np.array([1.0, 0.5, 1.0])))
     assert not rep.is_log_concave
     assert rep.support_contiguous
     assert rep.worst_index == 1
@@ -114,7 +114,7 @@ def test_log_concave_planted_dip():
 
 def test_log_concave_subnormal_tails_no_nan():
     v = np.array([1e-320, 5e-316, 1e-310, 1e-305, 1e-300])
-    rep = is_log_concave(grid_function(0.0, 0.1, v))
+    rep = is_log_concave(GridFunction(0.0, 0.1, v))
     assert rep.worst_ratio is not None and math.isfinite(rep.worst_ratio)
 
 
@@ -130,9 +130,9 @@ def test_hull_of_log_concave_is_identity():
 
 def test_hull_fills_two_bump():
     v = np.concatenate([np.ones(1000), np.zeros(1000), np.ones(1000)])
-    f = grid_function(0.0, STEP, v)
+    f = GridFunction(0.0, STEP, v)
     F = log_concave_hull(f)
-    ref = grid_function(0.0, STEP, np.ones(3000))
+    ref = GridFunction(0.0, STEP, np.ones(3000))
     assert l1_distance(F, ref) <= 1e-12
 
 
@@ -162,7 +162,7 @@ def test_hull_majorizes_and_idempotent():
 
 
 def test_hull_of_zero_is_zero():
-    z = grid_function(0.0, 0.1, np.zeros(5))
+    z = GridFunction(0.0, 0.1, np.zeros(5))
     assert log_concave_hull(z).is_zero()
 
 
@@ -365,7 +365,7 @@ def test_pipeline_rejects_mismatched_steps():
 def test_pipeline_rejects_inputs_below_quadrature_tolerance(cells, mode):
     # quadrature_tol = 6 * step here, so the deficit gate would admit any
     # epsilon >= -1: auto gives epsilon = -1/(2 * cells) on these inputs.
-    f = grid_function(0.0, STEP, np.ones(cells))
+    f = GridFunction(0.0, STEP, np.ones(cells))
     t = canonical_triple(f, f, 0.5, mode=mode)
     with pytest.raises(DomainError, match="quadrature tolerance 0.006.* masses 0.00"):
         stability_decompose(t, PipelineConfig(supconv_mode=mode))

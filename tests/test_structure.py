@@ -3,8 +3,8 @@
 Each private name in ``OWNERS`` is a decision that one module owns: the
 rational form of lambda (the snap rule) and the whole-cell shift scan.
 Another module may call the owner's public functions, but neither import
-the name nor reach it as an attribute.  And no module imports a name it
-never reads.
+the name nor reach it as an attribute.  No module imports a name it
+never reads.  And the count of settable values may not grow unseen.
 """
 
 import ast
@@ -76,3 +76,55 @@ def test_every_import_is_read(path):
     tree = ast.parse(path.read_text())
     unused = sorted(_names_imported(tree) - _names_read(tree))
     assert unused == [], f"{path.stem} imports names it never reads"
+
+
+# The settable values of the package: defaulted parameters of public
+# functions and methods, defaulted fields of public dataclasses, and CLI
+# options.  A new one raises this bound in its own diff.
+MAX_SETTABLE_VALUES = 62
+
+
+def _defaults(fn: ast.AST) -> int:
+    return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+
+
+def _is_public(node: ast.AST) -> bool:
+    return not node.name.startswith("_") or node.name == "__init__"
+
+
+def _is_defaulted_field(node: ast.AST) -> bool:
+    """An annotated class attribute with a default (``field()`` needs one too)."""
+    if not isinstance(node, ast.AnnAssign) or node.value is None:
+        return False
+    value = node.value
+    if isinstance(value, ast.Call) and getattr(value.func, "id", "") == "field":
+        return any(k.arg in ("default", "default_factory") for k in value.keywords)
+    return True
+
+
+def _settable_values(tree: ast.Module) -> int:
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    count = 0
+    for node in tree.body:
+        if isinstance(node, functions) and _is_public(node):
+            count += _defaults(node)
+        elif isinstance(node, ast.ClassDef) and _is_public(node):
+            count += sum(
+                _defaults(m) for m in node.body if isinstance(m, functions) and _is_public(m)
+            )
+            if any("dataclass" in ast.dump(d) for d in node.decorator_list):
+                count += sum(_is_defaulted_field(a) for a in node.body)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", "") == "add_argument"
+            and node.args
+            and str(getattr(node.args[0], "value", "")).startswith("--")
+        ):
+            count += 1
+    return count
+
+
+def test_settable_values_do_not_grow():
+    total = sum(_settable_values(ast.parse(p.read_text())) for p in PACKAGE.glob("*.py"))
+    assert total <= MAX_SETTABLE_VALUES, f"{total} settable values"
