@@ -66,7 +66,6 @@ from .diagnostics import (
     check_logconcave_tails,
     check_sup_ratio,
     check_tail_truncation,
-    constants_table,
 )
 from .multidim import (
     DistributionProfile,

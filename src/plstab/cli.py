@@ -37,20 +37,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import constants_table
 from .gridfn import (
     DomainError,
     FormatError,
     GridFunction,
+    _check_window,
     _dumps,
     from_samples,
     l1_distance,
     read_function,
+    write_function,
 )
 from .plcore import PLTriple, deficit, sup_convolution
 from .rearrange import symmetric_decreasing
 from .reconstruct import (
     PipelineConfig,
+    TheoremConstants,
     align,
     is_log_concave,
     log_concave_hull,
@@ -147,14 +149,9 @@ class Example2Row:
 
 def _two_block_exponential(A: float, step: float) -> GridFunction:
     """``exp(-x)`` on [0, 1) and [2A, 2A+1), zero between."""
-    n = int(round((2 * A + 1) / step))
-    centers = step * (np.arange(n) + 0.5)
-    vals = np.where(
-        (centers < 1.0) | (centers >= 2 * A),
-        np.exp(-centers),
-        0.0,
+    return from_samples(
+        lambda x: np.where((x < 1.0) | (x >= 2 * A), np.exp(-x), 0.0), 0.0, 2 * A + 1, step
     )
-    return GridFunction(0.0, step, vals)
 
 
 def run_example2(
@@ -180,16 +177,14 @@ def run_example2(
         rep = deficit(PLTriple(f, f, h, 0.5))
         eps_closed = math.exp(-A) / (1.0 + math.exp(-2.0 * A))
         # Closed-form h on the half-step output grid.
-        n = int(round((2 * A + 1) / (0.5 * step)))
-        centers = 0.5 * step * (np.arange(n) + 0.5)
-        closed_vals = np.where(
-            (centers < 1.0)
-            | ((centers >= A) & (centers < A + 1.0))
-            | (centers >= 2 * A),
-            np.exp(-centers),
+        h_closed = from_samples(
+            lambda x: np.where(
+                (x < 1.0) | ((x >= A) & (x < A + 1.0)) | (x >= 2 * A), np.exp(-x), 0.0
+            ),
             0.0,
+            2 * A + 1,
+            0.5 * step,
         )
-        h_closed = GridFunction(0.0, 0.5 * step, closed_vals)
         h_match = l1_distance(h, h_closed) <= 4.0 * step * h.sup_norm() * 3.0
         F = log_concave_hull(f)
         gap = F.integral() - f.integral()
@@ -219,9 +214,11 @@ class SweepConfig:
         seed: Base seed; instance k at amplitude index a uses seed
             ``seed + 1000*a + k``.
         lam: Interpolation weight.
-        step: Grid step of the generated instances.
-        window: Grid window.
+        step: Grid step of the generated instances (positive and finite).
+        window: Grid window (finite and non-empty).
         level_count: Level-grid size for the pipeline.
+
+    A bad step or window raises ``DomainError`` on construction.
     """
 
     amplitudes: tuple[float, ...]
@@ -231,6 +228,9 @@ class SweepConfig:
     step: float = 2e-3
     window: tuple[float, float] = (-4.0, 4.0)
     level_count: int = 256
+
+    def __post_init__(self) -> None:
+        _check_window(*self.window, self.step)
 
     @staticmethod
     def from_json(path: str | Path) -> "SweepConfig":
@@ -411,11 +411,10 @@ def _cmd_deficit(args) -> int:
 def _cmd_rearrange(args) -> int:
     f = read_function(args.f)
     fs = symmetric_decreasing(f)
-    text = _dumps(fs.to_json_dict()) + "\n"
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(_dumps(fs.to_json_dict()) + "\n")
     else:
-        Path(args.out).write_text(text)
+        write_function(fs, args.out)
     return 0
 
 
@@ -472,7 +471,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_constants(args) -> int:
     taus = _parse_floats(args.tau)
     _write_csv(
-        [c.to_json_dict() for c in constants_table(taus, args.omega0)],
+        [TheoremConstants(tau, args.omega0).to_json_dict() for tau in taus],
         ["tau", "alpha_tau", "log10_Q", "log10_M", "omega", "hypothesis_representable"],
         "constants",
         args.out,

@@ -17,7 +17,6 @@ Results are plain ``CheckRow`` dataclass rows:
   ``4 * tau**(-3/2)`` on the ratio itself; the ROADMAP keeps one.)
 * Truncation: cutting f and g at ``eta * sup`` changes measures/masses by
   explicitly bounded amounts when ``sqrt(epsilon) <= eta < 1``.
-* Constants table: the explicit stability constants over a tau grid.
 """
 
 from __future__ import annotations
@@ -29,14 +28,13 @@ import numpy as np
 
 from .gridfn import DomainError, GridFunction
 from .plcore import PLTriple, deficit
-from .reconstruct import TheoremConstants, is_log_concave
+from .reconstruct import is_log_concave
 
 __all__ = [
     "CheckRow",
     "check_logconcave_tails",
     "check_sup_ratio",
     "check_tail_truncation",
-    "constants_table",
 ]
 
 # ``check_logconcave_tails``: the points of each of its two grids (s near
@@ -216,8 +214,3 @@ def check_tail_truncation(
             _row(f"trunc_mass_{name}", f"{instance_id}:eta={eta:.4g}", mass, bound_m, allowance)
         )
     return rows
-
-
-def constants_table(taus: np.ndarray, omega0: float = 1.0) -> list[TheoremConstants]:
-    """Stability constants for each tau in the grid."""
-    return [TheoremConstants(tau=float(t), omega0=omega0) for t in np.asarray(taus)]

@@ -167,27 +167,18 @@ def greatest_convex_minorant(T: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return -least_concave_majorant(T, -np.asarray(psi, dtype=float))
 
 
-def monotonize(env: np.ndarray, direction: str) -> np.ndarray:
-    """Smallest monotone majorant of a sampled concave function.
+def monotonize(env: np.ndarray) -> np.ndarray:
+    """Smallest nonincreasing majorant of a sampled concave function.
 
-    For concave input the result is concave again and coincides with the
-    input on one side of its argmax while staying constant at the max on
-    the other side:
-
-    * ``direction="nonincreasing"``: running maximum from the right
-      (constant at the max left of the argmax, equal to env to its right).
-    * ``direction="nondecreasing"``: running maximum from the left.
+    This is the running maximum from the right.  For concave input the
+    result is concave again: constant at the max left of the argmax, and
+    equal to env to its right.
 
     To monotonize a *convex* sample u (e.g. a fitted left boundary),
-    negate: ``-monotonize(-u, "nonincreasing")`` is the nondecreasing
-    convex version plateauing at the minimum.
+    negate: ``-monotonize(-u)`` is the nondecreasing convex version
+    plateauing at the minimum.
     """
-    env = np.asarray(env, dtype=float)
-    if direction == "nonincreasing":
-        return np.maximum.accumulate(env[::-1])[::-1]
-    if direction == "nondecreasing":
-        return np.maximum.accumulate(env)
-    raise DomainError(f"unknown direction {direction!r}")
+    return np.maximum.accumulate(np.asarray(env, dtype=float)[::-1])[::-1]
 
 
 @dataclass(frozen=True)

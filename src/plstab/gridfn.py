@@ -209,22 +209,31 @@ class GridFunction:
         }
 
 
-def from_samples(fn, lo: float, hi: float, step: float) -> GridFunction:
-    """Sample a callable at cell centers over ``[lo, hi)``.
-
-    Args:
-        fn: Vectorized callable returning nonnegative values.
-        lo: Left edge of the window.
-        hi: Right edge of the window (last cell may overhang by < step).
-        step: Cell width.
-
-    Raises:
-        DomainError: If the window is invalid or a sample is negative or
-            not finite.
-    """
+def _check_window(lo: float, hi: float, step: float) -> None:
+    """Raise ``DomainError`` unless ``step`` and ``[lo, hi)`` are finite and positive."""
+    if not (np.isfinite(step) and step > 0):
+        raise DomainError(f"step must be positive and finite, got {step}")
     if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
         raise DomainError(f"invalid window [{lo}, {hi})")
-    n = int(np.ceil((hi - lo) / step - 1e-12))
+
+
+def from_samples(fn, lo: float, hi: float, step: float) -> GridFunction:
+    """Sample ``fn`` at the cell centers of the grid on the window ``[lo, hi)``.
+
+    This is the package's one rule for turning a window into cells.  The
+    grid starts at ``lo`` with ``ceil((hi - lo) / step * (1 - 1e-12))``
+    cells of width ``step``, the fewest that cover the window: the relative
+    slack of 1e-12 keeps float noise in a whole number of steps from adding
+    a cell, and a real partial cell still overhangs ``hi``.  The vectorized
+    ``fn`` is called once, on the centers ``lo + step * (k + 1/2)``, and
+    returns nonnegative values.
+
+    Raises:
+        DomainError: If the step is not positive and finite, the window is
+            not finite and non-empty, or a sample is negative or not finite.
+    """
+    _check_window(lo, hi, step)
+    n = math.ceil((hi - lo) / step * (1.0 - 1e-12))
     centers = lo + step * (np.arange(n) + 0.5)
     return GridFunction(lo, step, np.asarray(fn(centers), dtype=float))
 

@@ -33,11 +33,11 @@ cell pairs, which is capped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .gridfn import DomainError, GridFunction, _frozen_values
+from .gridfn import DomainError, GridFunction, _frozen_values, from_samples
 from .plcore import (
     DeficitReport,
     PLTriple,
@@ -200,12 +200,12 @@ def multiplicative_to_additive(profile: DistributionProfile) -> GridFunction:
         raise DomainError("levels must be positive")
     x_lo = math.log(lv[0]) - 12.0
     x_hi = math.log(lv[-1])
-    step = (x_hi - x_lo) / 4096.0
-    n = int(np.ceil((x_hi - x_lo) / step - 1e-9))
-    centers = x_lo + step * (np.arange(n) + 0.5)
-    t = np.exp(centers)
-    vals = profile(t) * t
-    return GridFunction(x_lo, step, vals)
+
+    def density(x: np.ndarray) -> np.ndarray:
+        t = np.exp(x)
+        return profile(t) * t
+
+    return from_samples(density, x_lo, x_hi, (x_hi - x_lo) / 4096.0)
 
 
 def sup_convolution_2d(
@@ -274,14 +274,7 @@ class ReducedDeficitReport:
         return self.deficit_reduced.epsilon
 
     def to_json_dict(self) -> dict:
-        return {
-            "deficit_2d": self.deficit_2d.to_json_dict(),
-            "deficit_reduced": self.deficit_reduced.to_json_dict(),
-            "condition_2d_violations": self.condition_2d_violations,
-            "multiplicative_violations": self.multiplicative_violations,
-            "brunn_minkowski_violations": self.brunn_minkowski_violations,
-            "mass_error": self.mass_error,
-        }
+        return asdict(self)
 
 
 def _sample_condition_2d(triple: PLTriple) -> int:

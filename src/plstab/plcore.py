@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Literal
 
@@ -685,14 +685,7 @@ class DeficitReport:
     a: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "int_f": self.int_f,
-            "int_g": self.int_g,
-            "int_h": self.int_h,
-            "geo_mean": self.geo_mean,
-            "epsilon": self.epsilon,
-            "a": self.a,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return _dumps(self.to_json_dict(), sort_keys=True)

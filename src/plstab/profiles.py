@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gridfn import DomainError, GridFunction
+from .gridfn import DomainError, GridFunction, from_samples
 from .plcore import PLTriple
 
 __all__ = [
@@ -181,15 +181,8 @@ def good_levels(
     excess = np.abs(mh - (1.0 - lam) * mf - lam * mg)
     mask = excess <= threshold
     # Width of each level cell on the level axis (for the bad-mass figure).
-    widths = np.empty(levels.size)
-    if levels.size > 1:
-        mids = 0.5 * (levels[1:] + levels[:-1])
-        widths[0] = mids[0] - levels[0]
-        widths[-1] = levels[-1] - mids[-1]
-        if levels.size > 2:
-            widths[1:-1] = np.diff(mids)
-    else:
-        widths[0] = 0.0
+    mids = 0.5 * (levels[1:] + levels[:-1])
+    widths = np.diff(np.concatenate(([levels[0]], mids, [levels[-1]])))
     bad_measure = float(widths[~mask].sum())
     return GoodLevelReport(
         mask=mask, excess=excess, threshold=float(threshold), bad_level_measure=bad_measure
@@ -279,12 +272,14 @@ def build_bubble(profile: LevelProfile, floor_level: float, step: float) -> Grid
             hi = float(profile.right[usable].max())
         else:
             lo, hi = 0.0, 1.0
-    n = max(1, int(np.ceil((hi - lo) / step - 1e-9)))
-    centers = lo + step * (np.arange(n) + 0.5)
     # Levels ascend and the intervals are nested, so the levels whose
     # interval holds a center are the first min(#{a_k <= x}, #{b_k > x}).
-    inside = np.minimum(
-        np.searchsorted(a, centers, side="right"),
-        np.searchsorted(-b, -centers, side="left"),
+    values = np.concatenate(([0.0], lv))
+    return from_samples(
+        lambda x: values[
+            np.minimum(np.searchsorted(a, x, side="right"), np.searchsorted(-b, -x, side="left"))
+        ],
+        lo,
+        hi,
+        step,
     )
-    return GridFunction(lo, step, np.concatenate(([0.0], lv))[inside])

@@ -27,12 +27,12 @@ are scanned and how coarsely, from the target and witness windows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Literal
 
 import numpy as np
 
-from .gridfn import DomainError, GridFunction, _dumps, _l1_shifts, l1_distance
+from .gridfn import DomainError, GridFunction, _dumps, _l1_shifts, from_samples, l1_distance
 from .plcore import (
     PLTriple,
     _check_lambda,
@@ -326,8 +326,9 @@ def from_envelopes(env: EnvelopePair, floor_level: float, step: float) -> GridFu
         step: Output cell width.
 
     Raises:
-        DomainError: If the envelopes cross or are not monotone, or if
-            ``floor_level`` is not positive.
+        DomainError: If the envelopes cross or are not monotone, if
+            ``floor_level`` is not positive, or if the support at ``T_lo``
+            has zero width or the step is not positive and finite.
     """
     T = np.asarray(env.T, dtype=float)
     a = np.asarray(env.lower, dtype=float)
@@ -348,20 +349,20 @@ def from_envelopes(env: EnvelopePair, floor_level: float, step: float) -> GridFu
     if floor_level <= 0:
         raise DomainError(f"floor_level must be positive, got {floor_level}")
     T_floor = math.log(floor_level)
-    lo = float(a[0])
-    hi = float(b[0])
-    n = max(1, int(np.ceil((hi - lo) / step - 1e-9)))
-    centers = lo + step * (np.arange(n) + 0.5)
-    # Left branch: last T where the left boundary is still <= x.
-    la = _inverse_nondecreasing(T, a, centers, T_hi)
-    # Right branch by reflection: b nonincreasing makes -b nondecreasing,
-    # and sup{T : b(T) >= x} = sup{T : -b(T) <= -x}.
-    lb = _inverse_nondecreasing(T, np.maximum.accumulate(-b), -centers, T_hi)
-    level = np.minimum(la, lb)
-    vals = np.zeros(n)
-    alive = level >= max(T_floor, T_lo) - 1e-15
-    vals[alive] = np.exp(np.minimum(level[alive], T_hi))
-    return GridFunction(lo, step, vals)
+
+    def rebuilt(centers: np.ndarray) -> np.ndarray:
+        # Left branch: last T where the left boundary is still <= x.
+        la = _inverse_nondecreasing(T, a, centers, T_hi)
+        # Right branch by reflection: b nonincreasing makes -b nondecreasing,
+        # and sup{T : b(T) >= x} = sup{T : -b(T) <= -x}.
+        lb = _inverse_nondecreasing(T, np.maximum.accumulate(-b), -centers, T_hi)
+        level = np.minimum(la, lb)
+        vals = np.zeros(centers.size)
+        alive = level >= max(T_floor, T_lo) - 1e-15
+        vals[alive] = np.exp(np.minimum(level[alive], T_hi))
+        return vals
+
+    return from_samples(rebuilt, float(a[0]), float(b[0]), step)
 
 
 # -- alignment ---------------------------------------------------------------
@@ -492,17 +493,7 @@ class StabilityReport:
     stage_flags: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "a": self.a,
-            "w": self.w,
-            "err_f": self.err_f,
-            "err_g": self.err_g,
-            "err_h": self.err_h,
-            "log10_bound": self.log10_bound,
-            "hypothesis_satisfied": self.hypothesis_satisfied,
-            "stage_flags": self.stage_flags,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "constants"}
 
     def to_json(self) -> str:
         return _dumps(self.to_json_dict(), sort_keys=True)
@@ -523,8 +514,8 @@ def _fit_envelopes(profile: LevelProfile) -> EnvelopePair:
     upper = least_concave_majorant(T, right)
     fit_lo = float(np.max(np.abs(lower - left)))
     fit_hi = float(np.max(np.abs(upper - right)))
-    lower = -monotonize(-lower, "nonincreasing")
-    upper = monotonize(upper, "nonincreasing")
+    lower = -monotonize(-lower)
+    upper = monotonize(upper)
     upper = np.maximum(upper, lower)
     return EnvelopePair(
         T=T, lower=lower, upper=upper, fit_error_lower=fit_lo, fit_error_upper=fit_hi

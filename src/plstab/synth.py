@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .gridfn import GridFunction, from_samples
+from .gridfn import GridFunction, _check_window, from_samples
 
 __all__ = [
     "rng_from",
@@ -40,6 +40,7 @@ def rng_from(seed: int | np.random.Generator) -> np.random.Generator:
 
 def _aligned_window(lo: float, hi: float, step: float) -> tuple[float, float]:
     """Snap window ends outward to integer multiples of the step."""
+    _check_window(lo, hi, step)
     return (math.floor(lo / step) * step, math.ceil(hi / step) * step)
 
 
@@ -61,12 +62,10 @@ def gaussian(
     step: float = 1e-3,
 ) -> GridFunction:
     """``height * exp(-pi ((x - mean)/scale)**2)`` sampled at cell centers."""
-    lo, hi = _aligned_window(*window, step)
     return _flush_tiny(
         from_samples(
             lambda x: height * np.exp(-math.pi * ((x - mean) / scale) ** 2),
-            lo,
-            hi,
+            *_aligned_window(*window, step),
             step,
         )
     )
@@ -76,11 +75,11 @@ def indicator(
     a: float, b: float, height: float = 1.0, step: float = 1e-3
 ) -> GridFunction:
     """``height`` on ``[a, b)``, supported on whole cells of an aligned grid."""
-    lo, hi = _aligned_window(a, b, step)
-    n = int(round((hi - lo) / step))
-    centers = lo + step * (np.arange(n) + 0.5)
-    vals = np.where((centers >= a) & (centers < b), height, 0.0)
-    return GridFunction(lo, step, vals)
+    return from_samples(
+        lambda x: np.where((x >= a) & (x < b), height, 0.0),
+        *_aligned_window(a, b, step),
+        step,
+    )
 
 
 def truncated_exponential(
@@ -91,13 +90,13 @@ def truncated_exponential(
     step: float = 1e-3,
 ) -> GridFunction:
     """``height * exp(-rate (x - a))`` on ``[a, b)``, zero elsewhere."""
-    lo, hi = _aligned_window(a, b, step)
-    n = int(round((hi - lo) / step))
-    centers = lo + step * (np.arange(n) + 0.5)
-    vals = np.where(
-        (centers >= a) & (centers < b), height * np.exp(-rate * (centers - a)), 0.0
+    return _flush_tiny(
+        from_samples(
+            lambda x: np.where((x >= a) & (x < b), height * np.exp(-rate * (x - a)), 0.0),
+            *_aligned_window(a, b, step),
+            step,
+        )
     )
-    return _flush_tiny(GridFunction(lo, step, vals))
 
 
 def bump_profile(x: np.ndarray) -> np.ndarray:
@@ -171,20 +170,22 @@ def random_grid_function(
     is zero with probability 0.2)."""
     rng = rng_from(seed)
     lo, hi = _aligned_window(*window, step)
-    n = int(round((hi - lo) / step))
-    centers = lo + step * (np.arange(n) + 0.5)
-    vals = np.zeros(n)
-    for _ in range(rng.integers(1, 4)):
-        c = rng.uniform(lo, hi)
-        width = rng.uniform(0.05, 0.3) * (hi - lo)
-        amp = rng.uniform(0.2, 2.0)
-        vals += amp * np.exp(-(((centers - c) / width) ** 2))
-    vals *= rng.uniform(0.5, 1.5, size=n)
-    mask = rng.random(n) < _ZERO_FRACTION
-    vals[mask] = 0.0
-    if vals.max() <= 0:
-        vals[n // 2] = 1.0
-    return GridFunction(lo, step, vals)
+
+    def draw(centers: np.ndarray) -> np.ndarray:
+        n = centers.size
+        vals = np.zeros(n)
+        for _ in range(rng.integers(1, 4)):
+            c = rng.uniform(lo, hi)
+            width = rng.uniform(0.05, 0.3) * (hi - lo)
+            amp = rng.uniform(0.2, 2.0)
+            vals += amp * np.exp(-(((centers - c) / width) ** 2))
+        vals *= rng.uniform(0.5, 1.5, size=n)
+        vals[rng.random(n) < _ZERO_FRACTION] = 0.0
+        if vals.max() <= 0:
+            vals[n // 2] = 1.0
+        return vals
+
+    return from_samples(draw, lo, hi, step)
 
 
 def perturbed_pair(

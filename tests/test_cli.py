@@ -180,6 +180,13 @@ def test_example1_rejects_bad_eta():
     assert main(["example1", "--etas", "0.5"]) == 2
 
 
+@pytest.mark.parametrize("command", ["example1", "example2"])
+@pytest.mark.parametrize("step", ["0", "nan"])
+def test_examples_reject_bad_step_exit_2(capsys, command, step):
+    assert main([command, "--step", step]) == 2
+    assert "step must be positive and finite" in capsys.readouterr().err
+
+
 def test_example2_closed_form(tmp_path):
     out = tmp_path / "ex2.csv"
     assert main(["example2", "--A", "3,5", "--step", "0.002", "--out", str(out)]) == 0
@@ -244,6 +251,13 @@ def test_sweep_config_errors(tmp_path):
     bad.write_text("[[[")
     assert main(["sweep", "--config", str(bad)]) == 3
     assert main(["sweep", "--config", str(tmp_path / "absent.json")]) == 3
+
+
+@pytest.mark.parametrize("key, value", [("step", 0), ("window", [4, -4])])
+def test_sweep_config_bad_grid_exit_2(tmp_path, capsys, key, value):
+    cfg = sweep_config(tmp_path, **{key: value})
+    assert main(["sweep", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from plstab import (
     check_logconcave_tails,
     check_sup_ratio,
     check_tail_truncation,
-    constants_table,
     deficit,
     from_samples,
     GridFunction,
@@ -156,12 +155,12 @@ def test_truncation_eta_domain():
         check_tail_truncation(tb, 0.1)
 
 
-# -- constants_table ---------------------------------------------------------------
+# -- constants over a tau grid ------------------------------------------------------
 
 
 def test_constants_table_grid():
     taus = np.geomspace(1e-3, 0.5, 7)
-    rows = constants_table(taus, omega0=2.0)
+    rows = [TheoremConstants(float(tau), omega0=2.0) for tau in taus]
     assert len(rows) == 7
     for tau, c in zip(taus, rows):
         assert isinstance(c, TheoremConstants)

@@ -154,38 +154,26 @@ def test_minorant_is_dual_of_majorant():
 
 def test_monotonize_noop_on_sorted():
     u = np.array([5.0, 4.0, 2.5, 1.0])
-    assert np.allclose(monotonize(u, "nonincreasing"), u)
-    assert np.allclose(monotonize(u[::-1], "nondecreasing"), u[::-1])
+    assert np.allclose(monotonize(u), u)
 
 
 def test_monotonize_tent_plateaus_left():
     u = np.array([1.0, 2.0, 3.0, 2.0, 1.0])
-    assert np.allclose(monotonize(u, "nonincreasing"), [3, 3, 3, 2, 1])
+    assert np.allclose(monotonize(u), [3, 3, 3, 2, 1])
 
 
 def test_monotonize_increasing_to_constant():
     u = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(monotonize(u, "nonincreasing"), [3, 3, 3])
-
-
-def test_monotonize_nondecreasing_direction():
-    u = np.array([1.0, 3.0, 2.0, 5.0])
-    assert np.allclose(monotonize(u, "nondecreasing"), [1, 3, 3, 5])
+    assert np.allclose(monotonize(u), [3, 3, 3])
 
 
 def test_monotonize_is_idempotent_and_dominates():
     rng = np.random.default_rng(20)
     for _ in range(50):
         u = rng.uniform(-2, 2, int(rng.integers(2, 40)))
-        for d in ("nonincreasing", "nondecreasing"):
-            m = monotonize(u, d)
-            assert np.all(m >= u - 1e-15)
-            assert np.allclose(monotonize(m, d), m)
-
-
-def test_monotonize_rejects_unknown_direction():
-    with pytest.raises(DomainError):
-        monotonize(np.array([1.0, 2.0]), "sideways")
+        m = monotonize(u)
+        assert np.all(m >= u - 1e-15)
+        assert np.allclose(monotonize(m), m)
 
 
 # -- EnvelopePair ------------------------------------------------------------------

@@ -17,6 +17,7 @@ from plstab import (
     write_function,
 )
 from plstab.gridfn import _l1_shifts
+from plstab.synth import indicator
 
 STEP = 1e-3
 
@@ -339,6 +340,30 @@ def test_from_samples_cell_count():
     assert f.size == 10
     g = from_samples(lambda x: np.ones_like(x), 0.0, 1.05, 0.1)
     assert g.size == 11
+    # 9.75 / 3e-4 is 32 500 plus float noise that an absolute slack misses.
+    assert from_samples(np.ones_like, -9.0, 0.75, 3e-4).size == 32_500
+
+
+@pytest.mark.parametrize(
+    "lo, hi, step",
+    [
+        (0.0, 1.0, 0.0),
+        (0.0, 1.0, math.nan),
+        (0.0, 1.0, -0.1),
+        (0.0, 1.0, math.inf),
+        (1.0, 0.0, 0.1),
+        (0.0, 0.0, 0.1),
+        (0.0, math.inf, 0.1),
+    ],
+)
+def test_from_samples_rejects_bad_step_and_window(lo, hi, step):
+    with pytest.raises(DomainError):
+        from_samples(np.ones_like, lo, hi, step)
+
+
+def test_synth_checks_the_step_before_dividing():
+    with pytest.raises(DomainError, match="step must be positive and finite"):
+        indicator(0, 1, 1.0, 0.0)
 
 
 def test_from_samples_rejects_negative():

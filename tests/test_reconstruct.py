@@ -223,6 +223,12 @@ def test_from_envelopes_rejects_crossed_envelopes():
         from_envelopes(EnvelopePair(T, lower, upper, 0.0, 0.0), 1.0, STEP)
 
 
+def test_from_envelopes_rejects_zero_width_support():
+    T = np.linspace(-2.0, 0.0, 50)
+    with pytest.raises(DomainError, match="invalid window"):
+        from_envelopes(EnvelopePair(T, np.zeros(50), np.zeros(50), 0.0, 0.0), 1.0, STEP)
+
+
 # -- align -------------------------------------------------------------------------
 
 
