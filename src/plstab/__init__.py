@@ -20,12 +20,13 @@ from .gridfn import (
     write_function,
 )
 from .plcore import (
-    AmGmReport,
+    CheckRow,
     ConditionReport,
     DeficitReport,
     PLTriple,
     amgm_stability,
     canonical_triple,
+    check_sup_ratio,
     deficit,
     quadrature_tol,
     sup_convolution,
@@ -61,12 +62,7 @@ from .reconstruct import (
     log_concave_hull,
     stability_decompose,
 )
-from .diagnostics import (
-    CheckRow,
-    check_logconcave_tails,
-    check_sup_ratio,
-    check_tail_truncation,
-)
+from .diagnostics import check_logconcave_tails, check_tail_truncation
 from .multidim import (
     DistributionProfile,
     GridFunction2D,

@@ -3,18 +3,13 @@
 Each check measures a quantity on a grid function or triple and compares
 it against an explicit bound, with a grid allowance of ``3 * step *
 sup_norm`` so that discretization alone never produces a false violation.
-Results are plain ``CheckRow`` dataclass rows:
+Results are ``plcore.CheckRow`` rows, as for the scalar lemmas there:
 
     check_name, instance_id, measured, bound, ratio, hypothesis_met, passed
 
 * Tail geometry of log-concave functions: near-max superlevel sets are
   not too short, superlevel sets shrink at worst logarithmically, and the
   mass below a low level is proportionally small.
-* Sup-norm ratio: once the deficit is below ``tau**3 / 64``, the ratio
-  ``(sup f / sup g) * (int g / int f)`` of a near-equality pair is within
-  ``4 * tau**(-3/2) * sqrt(epsilon)`` of 1.  (Stage 1 of
-  ``stability_decompose`` checks the same lemma with another bound,
-  ``4 * tau**(-3/2)`` on the ratio itself; the ROADMAP keeps one.)
 * Truncation: cutting f and g at ``eta * sup`` changes measures/masses by
   explicitly bounded amounts when ``sqrt(epsilon) <= eta < 1``.
 """
@@ -22,18 +17,15 @@ Results are plain ``CheckRow`` dataclass rows:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .gridfn import DomainError, GridFunction
-from .plcore import PLTriple, deficit
+from .plcore import CheckRow, PLTriple, _row, deficit
 from .reconstruct import is_log_concave
 
 __all__ = [
-    "CheckRow",
     "check_logconcave_tails",
-    "check_sup_ratio",
     "check_tail_truncation",
 ]
 
@@ -41,53 +33,6 @@ __all__ = [
 # the max, t in the tail), and the tolerance of its log-concavity gate.
 _TAIL_LEVELS = 64
 _LOGCONCAVE_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class CheckRow:
-    """One measured-versus-bound comparison.
-
-    Attributes:
-        check_name: Identifier of the inequality being tested.
-        instance_id: Caller-supplied label of the instance.
-        measured: The measured quantity.
-        bound: The theoretical bound (including any grid allowance is the
-            caller's concern; ``passed`` already accounts for it).
-        ratio: measured / bound (0 when the bound is infinite or zero).
-        hypothesis_met: Whether the inequality's hypothesis held, making
-            the comparison meaningful.
-        passed: measured <= bound + allowance (True vacuously when the
-            hypothesis is not met).
-    """
-
-    check_name: str
-    instance_id: str
-    measured: float
-    bound: float
-    ratio: float
-    hypothesis_met: bool
-    passed: bool
-
-
-def _row(
-    name: str,
-    instance: str,
-    measured: float,
-    bound: float,
-    allowance: float,
-    hypothesis_met: bool = True,
-) -> CheckRow:
-    ratio = measured / bound if bound > 0 and math.isfinite(bound) else 0.0
-    passed = (not hypothesis_met) or measured <= bound + allowance
-    return CheckRow(
-        check_name=name,
-        instance_id=instance,
-        measured=float(measured),
-        bound=float(bound),
-        ratio=float(ratio),
-        hypothesis_met=bool(hypothesis_met),
-        passed=bool(passed),
-    )
 
 
 def check_logconcave_tails(phi: GridFunction, instance_id: str = "") -> list[CheckRow]:
@@ -141,30 +86,6 @@ def check_logconcave_tails(phi: GridFunction, instance_id: str = "") -> list[Che
             _row("low_mass", f"{instance_id}:t={t:.6g}", mass, bound_mass, allowance)
         )
     return rows
-
-
-def check_sup_ratio(triple: PLTriple, instance_id: str = "") -> CheckRow:
-    """Sup-norm ratio control for a near-equality pair.
-
-    If the deficit satisfies ``epsilon < tau**3 / 64`` then
-
-        | (sup f / sup g) * (int g / int f) - 1 | <= 4 * tau**(-3/2) * sqrt(epsilon).
-
-    The comparison is vacuous (hypothesis_met=False) otherwise; a quadrature
-    allowance of a few cells covers the grid error in the measured ratio.
-    """
-    rep = deficit(triple)
-    eps = max(rep.epsilon, 0.0)
-    tau = triple.tau
-    sup_f, sup_g = triple.f.sup_norm(), triple.g.sup_norm()
-    ratio = (sup_f / sup_g) * (rep.int_g / rep.int_f)
-    measured = abs(ratio - 1.0)
-    bound = 4.0 * tau ** (-1.5) * math.sqrt(eps)
-    hypothesis = eps < tau**3 / 64.0
-    allowance = 3.0 * max(triple.f.step, triple.g.step) * (
-        sup_f / rep.int_f + sup_g / rep.int_g
-    )
-    return _row("sup_ratio", instance_id, measured, bound, allowance, hypothesis)
 
 
 def check_tail_truncation(

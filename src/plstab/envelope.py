@@ -8,8 +8,8 @@ checks:
 
 * the *three-point check* compares profile half-widths of f and g at two
   levels against their interpolated level,
-* the *four-point check* tests a single sampled function psi(T) at the pair
-  of conjugate combinations
+* the *four-point check* tests sampled functions psi(T) at the pair of
+  conjugate combinations
 
       T_{1,2} = (T_1 + (1-lam) T_2) / (2 - lam),
       T_{2,1} = (lam T_1 + T_2)     / (2 - lam),
@@ -147,11 +147,9 @@ def least_concave_majorant(
         raise DomainError("least_concave_majorant needs at least two valid points")
     hx, hy = _upper_hull(T[valid], psi[valid])
     out = np.interp(T, hx, hy)
-    if hx.size >= 2:
-        s0 = (hy[1] - hy[0]) / (hx[1] - hx[0])
-        s1 = (hy[-1] - hy[-2]) / (hx[-1] - hx[-2])
-    else:
-        s0 = s1 = 0.0
+    # The chain keeps the first and last of at least two valid points.
+    s0 = (hy[1] - hy[0]) / (hx[1] - hx[0])
+    s1 = (hy[-1] - hy[-2]) / (hx[-1] - hx[-2])
     lo = T < hx[0]
     hi = T > hx[-1]
     out[lo] = hy[0] + s0 * (T[lo] - hx[0])
@@ -253,7 +251,7 @@ def three_point_check(
     profile_b: LevelProfile,
     profile_c: LevelProfile,
     lam: float,
-    sigma: float = 0.0,
+    sigma: float,
 ) -> ViolationReport:
     """Half-width interpolation check between two profiles.
 
@@ -325,24 +323,28 @@ def three_point_check(
 
 def four_point_check(
     T: np.ndarray,
-    psi: np.ndarray,
+    psis: list[np.ndarray],
     lam: float,
-    sigma: float = 0.0,
-    valid: np.ndarray | None = None,
-) -> ViolationReport:
-    """Conjugate-pair interpolation check of a sampled function.
+    sigma: float,
+    valid: np.ndarray | None,
+) -> list[ViolationReport]:
+    """Conjugate-pair interpolation check of sampled functions, one report each.
 
     For every valid index pair i <= j, forms the conjugate combinations
     ``T_{1,2} = (T_i + (1-lam) T_j)/(2-lam)`` and ``T_{2,1} = ((1-lam) T_i +
     T_j)/(2-lam)`` (which sum to ``T_i + T_j``, so affine samples saturate),
-    snaps them to the uniform grid, and requires
+    snaps them to the uniform grid, and requires of each psi in ``psis``
 
         psi_i + psi_j <= psi[k12] + psi[k21] + sigma + slack,
 
     where the slack is the local Lipschitz constant (max adjacent
     difference of psi over valid points) times the total snap distance of
     the two combinations.  Violations are counted only when all four
-    points are valid.
+    points are valid.  A point is valid when ``valid`` (None: every point)
+    holds there and every psi is finite, so the pair geometry (the pairs,
+    their snapped indices and snap distances) is computed once per chunk
+    for all of them; each psi keeps its own Lipschitz constant, guard and
+    tally.
 
     Snapping: both targets go to their nearest grid index by
     ``plcore._nearest``; for ``lam == p/q`` they are the numerators
@@ -354,26 +356,6 @@ def four_point_check(
     Raises:
         DomainError: If the grid is not uniform or has more than 4096
             points.
-    """
-    return _four_point(T, (psi,), lam, sigma, valid)[0]
-
-
-def _four_point(
-    T: np.ndarray,
-    psis: tuple[np.ndarray, ...],
-    lam: float,
-    sigma: float = 0.0,
-    valid: np.ndarray | None = None,
-) -> list[ViolationReport]:
-    """``four_point_check`` of each of ``psis`` on one grid, one report each.
-
-    The pair geometry (the pairs, their snapped indices and snap
-    distances) is computed once per chunk for all of them.  They share one
-    mask, ``valid`` and every psi finite, so each report equals
-    ``four_point_check`` of that psi when the psis are finite at the same
-    points (the pipeline's ``right`` and ``-left`` of one regularized
-    profile are).  Each psi keeps its own Lipschitz constant, guard and
-    tally.
     """
     T = np.asarray(T, dtype=float)
     psis = [np.asarray(psi, dtype=float) for psi in psis]

@@ -210,11 +210,15 @@ class GridFunction:
 
 
 def _check_window(lo: float, hi: float, step: float) -> None:
-    """Raise ``DomainError`` unless ``step`` and ``[lo, hi)`` are finite and positive."""
+    """Raise ``DomainError`` unless ``step`` and ``[lo, hi)`` are finite and
+    positive and the window spans at most 2**52 steps, below which every
+    ``k + 1/2`` is an exact double (the test also catches an overflow)."""
     if not (np.isfinite(step) and step > 0):
         raise DomainError(f"step must be positive and finite, got {step}")
     if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
         raise DomainError(f"invalid window [{lo}, {hi})")
+    if not (hi - lo) / step <= 2.0**52:
+        raise DomainError(f"window [{lo}, {hi}) spans more than 2**52 steps of {step}")
 
 
 def from_samples(fn, lo: float, hi: float, step: float) -> GridFunction:
@@ -230,7 +234,8 @@ def from_samples(fn, lo: float, hi: float, step: float) -> GridFunction:
 
     Raises:
         DomainError: If the step is not positive and finite, the window is
-            not finite and non-empty, or a sample is negative or not finite.
+            not finite and non-empty or spans more than 2**52 steps, or a
+            sample is negative or not finite.
     """
     _check_window(lo, hi, step)
     n = math.ceil((hi - lo) / step * (1.0 - 1e-12))

@@ -171,7 +171,10 @@ class DistributionProfile:
 
 
 def distribution(f: GridFunctionND, levels: np.ndarray) -> DistributionProfile:
-    """Exact superlevel volumes of a function at the given levels."""
+    """Exact superlevel volumes of a function of dimension d >= 2 at the
+    given levels (``DomainError`` in one dimension)."""
+    if not isinstance(f, GridFunctionND):
+        raise DomainError(f"distribution needs dimension d >= 2, got {np.ndim(f.values)}")
     levels = np.asarray(levels, dtype=float)
     counts = _superlevel_counts(f.values, levels)
     return DistributionProfile(levels, counts * f.cell_area)
@@ -314,9 +317,9 @@ def reduced_deficit(triple: PLTriple) -> ReducedDeficitReport:
     implication.
 
     Raises:
-        DomainError: If f or g is identically zero, or if a target of the
-            pointwise condition can lie more than 2**52 cells of h from
-            h's origin.
+        DomainError: If the triple is one-dimensional, if f or g is
+            identically zero, or if a target of the pointwise condition can
+            lie more than 2**52 cells of h from h's origin.
     """
     d2 = deficit(triple)
     sups = [triple.f.sup_norm(), triple.g.sup_norm(), triple.h.sup_norm()]

@@ -19,7 +19,9 @@ This module provides:
 * :class:`PLTriple` with a grid-tolerant check of condition (*),
 * ``sup_convolution`` building the canonical smallest h for given (f, g),
 * ``deficit`` with exact cell-sum integrals,
-* a weighted AM-GM stability helper.
+* the scalar lemma checks, one ``CheckRow`` each: ``amgm_stability``
+  (the weighted AM-GM gap against ``tau * (sqrt(a) - sqrt(b))**2``) and
+  ``check_sup_ratio`` (the sup-norm ratio of a near-equality pair).
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ __all__ = [
     "sup_convolution",
     "deficit",
     "quadrature_tol",
+    "CheckRow",
     "amgm_stability",
-    "AmGmReport",
+    "check_sup_ratio",
 ]
 
 # Relative slack on the right-hand side of condition (*) in
@@ -716,32 +719,66 @@ def deficit(triple: PLTriple) -> DeficitReport:
     )
 
 
-# -- scalar AM-GM stability ---------------------------------------------------
+# -- scalar lemma checks -------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class AmGmReport:
-    """Weighted AM-GM gap and its square-root-difference lower bound.
+class CheckRow:
+    """One measured-versus-bound comparison.
+
+    Attributes:
+        check_name: Identifier of the inequality being tested.
+        instance_id: Caller-supplied label of the instance.
+        measured: The measured quantity.
+        bound: The theoretical bound (including any grid allowance is the
+            caller's concern; ``passed`` already accounts for it).
+        ratio: measured / bound (0 when the bound is infinite or zero).
+        hypothesis_met: Whether the inequality's hypothesis held, making
+            the comparison meaningful.
+        passed: measured <= bound + allowance (True vacuously when the
+            hypothesis is not met).
+    """
+
+    check_name: str
+    instance_id: str
+    measured: float
+    bound: float
+    ratio: float
+    hypothesis_met: bool
+    passed: bool
+
+
+def _row(
+    name: str,
+    instance: str,
+    measured: float,
+    bound: float,
+    allowance: float,
+    hypothesis_met: bool = True,
+) -> CheckRow:
+    ratio = measured / bound if bound > 0 and math.isfinite(bound) else 0.0
+    passed = (not hypothesis_met) or measured <= bound + allowance
+    return CheckRow(
+        check_name=name,
+        instance_id=instance,
+        measured=float(measured),
+        bound=float(bound),
+        ratio=float(ratio),
+        hypothesis_met=bool(hypothesis_met),
+        passed=bool(passed),
+    )
+
+
+def amgm_stability(a: float, b: float, lam: float, tau: float) -> CheckRow:
+    """Weighted AM-GM gap against its square-root-difference minorant.
 
     For positive a, b and lam in [tau, 1 - tau] with tau in (0, 1/2]:
 
         (1-lam)*a + lam*b - a**(1-lam) * b**lam >= tau * (sqrt(a) - sqrt(b))**2.
 
-    At lam = tau = 1/2 the two sides agree exactly.
-
-    Attributes:
-        lhs: The AM-GM gap.
-        rhs: The lower bound ``tau * (sqrt(a) - sqrt(b))**2``.
-        holds: True when ``lhs >= rhs - 1e-12 * max(a, b)``.
-    """
-
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def amgm_stability(a: float, b: float, lam: float, tau: float) -> AmGmReport:
-    """Evaluate the weighted AM-GM gap and its square-root-difference minorant.
+    At lam = tau = 1/2 the two sides agree exactly.  The row ``"amgm"``
+    measures ``tau * (sqrt(a) - sqrt(b))**2`` against the gap as its bound,
+    with an allowance of ``1e-12 * max(a, b)``.
 
     Raises:
         DomainError: If a or b is not strictly positive, tau is outside
@@ -754,7 +791,30 @@ def amgm_stability(a: float, b: float, lam: float, tau: float) -> AmGmReport:
         raise DomainError(f"tau must lie in (0, 1/2], got {tau}")
     if not (tau <= lam <= 1.0 - tau):
         raise DomainError(f"lam must lie in [tau, 1 - tau], got lam={lam}, tau={tau}")
-    lhs = (1.0 - lam) * a + lam * b - a ** (1.0 - lam) * b**lam
-    rhs = tau * (math.sqrt(a) - math.sqrt(b)) ** 2
-    holds = lhs >= rhs - 1e-12 * max(a, b)
-    return AmGmReport(lhs=lhs, rhs=rhs, holds=holds)
+    gap = (1.0 - lam) * a + lam * b - a ** (1.0 - lam) * b**lam
+    minorant = tau * (math.sqrt(a) - math.sqrt(b)) ** 2
+    return _row("amgm", "", minorant, gap, 1e-12 * max(a, b))
+
+
+def check_sup_ratio(triple: PLTriple, instance_id: str = "") -> CheckRow:
+    """Sup-norm ratio control for a near-equality pair.
+
+    If the deficit satisfies ``epsilon < tau**3 / 64`` then
+
+        | (sup f / sup g) * (int g / int f) - 1 | <= 4 * tau**(-3/2) * sqrt(epsilon).
+
+    The comparison is vacuous (hypothesis_met=False) otherwise; a quadrature
+    allowance of a few cells covers the grid error in the measured ratio.
+    """
+    rep = deficit(triple)
+    eps = max(rep.epsilon, 0.0)
+    tau = triple.tau
+    sup_f, sup_g = triple.f.sup_norm(), triple.g.sup_norm()
+    ratio = (sup_f / sup_g) * (rep.int_g / rep.int_f)
+    measured = abs(ratio - 1.0)
+    bound = 4.0 * tau ** (-1.5) * math.sqrt(eps)
+    hypothesis = eps < tau**3 / 64.0
+    allowance = 3.0 * max(triple.f.step, triple.g.step) * (
+        sup_f / rep.int_f + sup_g / rep.int_g
+    )
+    return _row("sup_ratio", instance_id, measured, bound, allowance, hypothesis)

@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-def level_grid(floor: float, top: float, count: int = 512) -> np.ndarray:
+def level_grid(floor: float, top: float, count: int) -> np.ndarray:
     """Geometric grid of ``count`` levels from ``floor`` to ``top`` inclusive."""
     if not (np.isfinite(floor) and floor > 0):
         raise DomainError(f"floor must be positive, got {floor}")

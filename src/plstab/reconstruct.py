@@ -38,6 +38,7 @@ from .plcore import (
     _check_lambda,
     _nearest,
     _weights,
+    check_sup_ratio,
     deficit,
     quadrature_tol,
     sup_convolution,
@@ -53,7 +54,7 @@ from .profiles import (
 )
 from .envelope import (
     EnvelopePair,
-    _four_point,
+    four_point_check,
     greatest_convex_minorant,
     least_concave_majorant,
     monotonize,
@@ -578,15 +579,13 @@ def stability_decompose(
     hn = triple.h.scale(1.0 / rep.geo_mean)
     tn = PLTriple(fn, gn, hn, lam)
 
-    sup_f, sup_g = fn.sup_norm(), gn.sup_norm()
-    ratio = max(sup_f / sup_g, sup_g / sup_f)
-    ratio_bound = 4.0 * triple.tau ** (-1.5)
-    ratio_hyp = eps < 2.0 ** (-6) * triple.tau**3
-    flags["sup_ratio"] = ratio
-    flags["sup_ratio_hypothesis_met"] = bool(ratio_hyp)
-    flags["sup_ratio_ok"] = bool(ratio <= ratio_bound)
+    row = check_sup_ratio(triple)
+    flags["sup_ratio"] = row.measured
+    flags["sup_ratio_hypothesis_met"] = row.hypothesis_met
+    flags["sup_ratio_ok"] = row.passed
 
     # Stage 2: level profiles on a shared geometric grid.
+    sup_f, sup_g = fn.sup_norm(), gn.sup_norm()
     sup_ref = min(sup_f, sup_g)
     top = max(sup_f, sup_g, hn.sup_norm())
     floor = min(max(eps, 1e-6) * sup_ref, 0.5 * sup_ref)
@@ -634,8 +633,8 @@ def stability_decompose(
     for name, prof in (("f", rf), ("g", rg)):
         usable = prof.usable()
         if usable.sum() >= 2:
-            fp_b, fp_a = _four_point(
-                prof.log_levels, (prof.right, -prof.left), lam, sigma, usable
+            fp_b, fp_a = four_point_check(
+                prof.log_levels, [prof.right, -prof.left], lam, sigma, usable
             )
             flags[f"four_point_b_{name}_violations"] = fp_b.count
             flags[f"four_point_a_{name}_violations"] = fp_a.count

@@ -187,6 +187,11 @@ def test_examples_reject_bad_step_exit_2(capsys, command, step):
     assert "step must be positive and finite" in capsys.readouterr().err
 
 
+def test_example1_rejects_a_step_too_small_for_its_window_exit_2(capsys):
+    assert main(["example1", "--step", "5e-324"]) == 2
+    assert "2**52" in capsys.readouterr().err
+
+
 def test_example2_closed_form(tmp_path):
     out = tmp_path / "ex2.csv"
     assert main(["example2", "--A", "3,5", "--step", "0.002", "--out", str(out)]) == 0
@@ -253,7 +258,7 @@ def test_sweep_config_errors(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "absent.json")]) == 3
 
 
-@pytest.mark.parametrize("key, value", [("step", 0), ("window", [4, -4])])
+@pytest.mark.parametrize("key, value", [("step", 0), ("window", [4, -4]), ("step", 5e-324)])
 def test_sweep_config_bad_grid_exit_2(tmp_path, capsys, key, value):
     cfg = sweep_config(tmp_path, **{key: value})
     assert main(["sweep", "--config", cfg]) == 2

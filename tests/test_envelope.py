@@ -231,7 +231,7 @@ def test_three_point_requires_shared_levels():
     p1 = profile_from_halfwidth(geometric_levels(16), np.ones(16))
     p2 = profile_from_halfwidth(geometric_levels(16, lo=2e-3), np.ones(16))
     with pytest.raises(DomainError):
-        three_point_check(p1, p2, p1, 0.5)
+        three_point_check(p1, p2, p1, 0.5, 0.0)
 
 
 # -- four_point_check ---------------------------------------------------------------
@@ -244,19 +244,19 @@ def test_four_point_concave_passes_at_zero_sigma():
         T = np.linspace(0, 1, n)
         slopes = np.sort(rng.uniform(-2, 2, n - 1))[::-1]
         psi = np.concatenate([[0.0], np.cumsum(slopes * np.diff(T))])
-        rep = four_point_check(T, psi, float(rng.uniform(0.2, 0.8)), sigma=0.0)
+        [rep] = four_point_check(T, [psi], float(rng.uniform(0.2, 0.8)), 0.0, None)
         assert rep.count == 0, rep.worst
 
 
 def test_four_point_linear_saturates():
     T = np.linspace(0, 1, 33)
-    rep = four_point_check(T, 3.0 * T - 1.0, 0.4, sigma=0.0)
+    [rep] = four_point_check(T, [3.0 * T - 1.0], 0.4, 0.0, None)
     assert rep.count == 0
 
 
 def test_four_point_planted_square():
     T = np.linspace(0, 1, 4)
-    rep = four_point_check(T, T**2, 0.5, sigma=0.0)
+    [rep] = four_point_check(T, [T**2], 0.5, 0.0, None)
     assert rep.count == 1
     assert rep.max_excess == pytest.approx(4.0 / 9.0, abs=1e-9)
     assert rep.worst == pytest.approx((0.0, 1.0, 1.0 / 3.0, 2.0 / 3.0), abs=1e-12)
@@ -264,13 +264,13 @@ def test_four_point_planted_square():
 
 def test_four_point_sigma_suppresses_planted():
     T = np.linspace(0, 1, 4)
-    rep = four_point_check(T, T**2, 0.5, sigma=0.5)
+    [rep] = four_point_check(T, [T**2], 0.5, 0.5, None)
     assert rep.count == 0
 
 
 def test_four_point_report_serializes():
     T = np.linspace(0, 1, 4)
-    rep = four_point_check(T, T**2, 0.5, sigma=0.0)
+    [rep] = four_point_check(T, [T**2], 0.5, 0.0, None)
     d = rep.to_json_dict()
     assert d["count"] == 1
     assert len(d["worst_quadruple"]) == 4
@@ -279,13 +279,13 @@ def test_four_point_report_serializes():
 def test_four_point_requires_uniform_grid():
     T = np.array([0.0, 0.1, 0.5, 1.0])
     with pytest.raises(DomainError):
-        four_point_check(T, T**2, 0.5)
+        four_point_check(T, [T**2], 0.5, 0.0, None)
 
 
 def test_four_point_rejects_more_than_4096_points():
     T = np.arange(4097.0)
     with pytest.raises(DomainError, match="limited to 4096 points, got 4097"):
-        four_point_check(T, -(T**2), 0.5)
+        four_point_check(T, [-(T**2)], 0.5, 0.0, None)
 
 
 # -- vectorised checks against the per-row loops they replaced ----------------------
@@ -443,24 +443,38 @@ def test_four_point_matches_row_loop(lam, sigma):
     valid = rng.random(n) < 0.8
     nv = int(valid.sum())
     assert nv * (nv + 1) // 2 > 3 * _CHUNK_PAIRS
-    rep = four_point_check(T, psi, lam, sigma=sigma, valid=valid)
+    [rep] = four_point_check(T, [psi], lam, sigma, valid)
     ref = loop_four_point(T, psi, lam, sigma, valid)
     assert ref[0] > 0
     assert_report_matches(rep, ref)
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.5, 0.37])
+def test_four_point_several_psis_share_one_geometry(lam):
+    # Finite at the same points, each psi gets the report it gets alone.
+    rng = np.random.default_rng(int(1000 * lam))
+    T = np.linspace(-3.0, 0.0, 200)
+    right = -(T**2) + 0.01 * rng.standard_normal(T.size)
+    left = T**2 + 0.02 * rng.standard_normal(T.size)
+    valid = rng.random(T.size) < 0.8
+    reports = four_point_check(T, [right, -left], lam, 1e-3, valid)
+    for psi, rep in zip([right, -left], reports):
+        [alone] = four_point_check(T, [psi], lam, 1e-3, valid)
+        assert rep == alone
 
 
 def test_checks_with_too_few_usable_points():
     lv = geometric_levels(8)
     p = profile_from_halfwidth(lv, np.ones(8))
     none = p.with_valid(np.zeros(8, dtype=bool))
-    rep = three_point_check(none, p, p, 0.3)
+    rep = three_point_check(none, p, p, 0.3, 0.0)
     assert (rep.count, rep.checked, rep.max_excess, rep.worst) == (0, 0, 0.0, None)
     T = np.linspace(0.0, 1.0, 8)
-    rep = four_point_check(T, T**2, 0.3, valid=np.zeros(8, dtype=bool))
+    [rep] = four_point_check(T, [T**2], 0.3, 0.0, np.zeros(8, dtype=bool))
     assert (rep.count, rep.checked, rep.max_excess, rep.worst) == (0, 0, 0.0, None)
     one = np.zeros(8, dtype=bool)
     one[3] = True
-    rep = four_point_check(T, T**2, 0.3, valid=one)
+    [rep] = four_point_check(T, [T**2], 0.3, 0.0, one)
     assert (rep.count, rep.checked) == (0, 1)
 
 
@@ -475,7 +489,7 @@ def test_four_point_worst_is_first_of_tied_maxima():
     psi[d] = -1.0
     valid = np.abs(np.arange(n) - d) > 10
     valid[d] = True
-    rep = four_point_check(T, psi, 0.5, sigma=0.0, valid=valid)
+    [rep] = four_point_check(T, [psi], 0.5, 0.0, valid)
     assert rep.max_excess == 1.0
     assert rep.worst == (T[0], T[3 * d // 2], T[d // 2], T[d])
     assert_report_matches(rep, loop_four_point(T, psi, 0.5, 0.0, valid))
@@ -493,7 +507,7 @@ def test_three_point_exact_tie_rounds_half_up():
     right_b[1] = 3.0
     b = LevelProfile(lv, left, right_b, np.isin(np.arange(7), [1, 5]), np.zeros(7), True)
     c = profile_from_halfwidth(lv, np.ones(7)).with_valid(np.arange(7) == 5)
-    rep = three_point_check(a, b, c, 0.3)
+    rep = three_point_check(a, b, c, 0.3, 0.0)
     # Pairs (5, 5) and (6, 1) land on level 5; the float rule would send
     # (6, 1) to the unusable level 4 and check one pair with no violation.
     # Half-widths: a = 1, b = 1.5 at level 1 and 0.5 at level 5, so
@@ -512,7 +526,7 @@ def test_four_point_exact_tie_rounds_half_up():
     T = np.linspace(0.0, 1.0, 5)
     psi = np.array([2.0, 0.0, 0.0, 0.0, 2.0])
     valid = np.array([True, False, True, True, True])
-    rep = four_point_check(T, psi, 0.4, valid=valid)
+    [rep] = four_point_check(T, [psi], 0.4, 0.0, valid)
     # Lipschitz constant 2, snap distance 4/8 + 4/8: excess 4 - 2 = 2.
     assert rep.worst == (T[0], T[4], T[2], T[3])
     assert rep.max_excess == 2.0

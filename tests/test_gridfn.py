@@ -361,6 +361,27 @@ def test_from_samples_rejects_bad_step_and_window(lo, hi, step):
         from_samples(np.ones_like, lo, hi, step)
 
 
+def test_from_samples_rejects_a_step_whose_cell_count_overflows():
+    with pytest.raises(DomainError, match="2\\*\\*52"):
+        from_samples(np.ones_like, 0.0, 1.0, 5e-324)
+
+
+def test_from_samples_rejects_more_than_2_52_cells_before_sampling():
+    import tracemalloc
+
+    def never(x):
+        raise AssertionError("sampled a window that was too large")
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="2\\*\\*52"):
+            from_samples(never, 0.0, 2.0**60, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_synth_checks_the_step_before_dividing():
     with pytest.raises(DomainError, match="step must be positive and finite"):
         indicator(0, 1, 1.0, 0.0)

@@ -98,6 +98,18 @@ def test_distribution_matches_brute_count():
         assert m == pytest.approx(float((v > t).sum()) * f.cell_area, abs=0.0)
 
 
+def test_distribution_rejects_a_1d_function():
+    f = GridFunction(0.0, 0.1, np.ones(5))
+    with pytest.raises(DomainError, match="dimension d >= 2, got 1"):
+        distribution(f, np.array([0.5, 2.0]))
+
+
+def test_reduced_deficit_rejects_a_1d_triple():
+    f = GridFunction(0.0, 0.1, np.ones(5))
+    with pytest.raises(DomainError, match="dimension d >= 2, got 1"):
+        reduced_deficit(PLTriple(f, f, f, 0.5))
+
+
 def test_distribution_profile_step_evaluation():
     prof = DistributionProfile(np.array([1.0, 2.0, 4.0]), np.array([6.0, 3.0, 0.5]))
     assert prof(0.5) == 6.0  # below the first sampled level

@@ -781,21 +781,21 @@ def test_level_set_inclusion_in_canonical_h():
 
 def test_amgm_equal_inputs():
     rep = amgm_stability(1.0, 1.0, 0.5, 0.5)
-    assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.holds
+    assert rep.bound == 0.0 and rep.measured == 0.0 and rep.passed
 
 
 def test_amgm_equality_case():
     rep = amgm_stability(4.0, 1.0, 0.5, 0.5)
-    assert rep.lhs == pytest.approx(0.5, rel=1e-12)
-    assert rep.rhs == pytest.approx(0.5, rel=1e-12)
-    assert rep.holds
+    assert rep.bound == pytest.approx(0.5, rel=1e-12)
+    assert rep.measured == pytest.approx(0.5, rel=1e-12)
+    assert rep.passed
 
 
 def test_amgm_strict_case():
     rep = amgm_stability(9.0, 1.0, 0.5, 0.25)
-    assert rep.lhs == pytest.approx(2.0, rel=1e-12)
-    assert rep.rhs == pytest.approx(1.0, rel=1e-12)
-    assert rep.holds
+    assert rep.bound == pytest.approx(2.0, rel=1e-12)
+    assert rep.measured == pytest.approx(1.0, rel=1e-12)
+    assert rep.passed
 
 
 def test_amgm_domain_errors():

@@ -467,3 +467,22 @@ def test_g_cell_shift_rounds_exact_ties_half_up():
     for lam in (0.25, 0.3, 0.5, 0.7, 0.37):
         old = np.round(((lam - 1.0) * (s * 1e-3 / lam)) / 1e-3)
         assert np.array_equal(_g_cell_shift(s, lam), old)
+
+
+# Reference cases (seed 100 * family + lambda index); at perturbed, 1/2 the
+# lemma's hypothesis holds.
+@pytest.mark.parametrize("m, lam", [(1, 0.3), (2, 0.5)])
+@pytest.mark.parametrize("k, family", enumerate(["log_concave", "rough", "perturbed"]))
+def test_stage1_flags_are_the_sup_ratio_row(k, family, m, lam):
+    from make_reference import _family_pair
+
+    from plstab import check_sup_ratio
+
+    f, g = _family_pair(family, seed=100 * k + m)
+    triple = canonical_triple(f, g, lam, mode="auto")
+    rep, *_ = stability_decompose(triple, PipelineConfig(supconv_mode="auto"))
+    row = check_sup_ratio(triple)
+    flags = rep.stage_flags
+    assert flags["sup_ratio"] == row.measured
+    assert flags["sup_ratio_hypothesis_met"] == row.hypothesis_met
+    assert flags["sup_ratio_ok"] == row.passed
