@@ -44,7 +44,7 @@ def section(title: str) -> None:
 
 def main() -> int:
     section("1. Equality case: f = g = h = exp(-pi x^2)")
-    f = gaussian(0.0, 1.0, 1.0, step=1e-3)
+    f = gaussian(0.0, 1.0, 1.0, step=1e-3, window=(-6.0, 6.0))
     for lam in (0.3, 0.5):
         h = sup_convolution(f, f, lam, mode="auto")
         rep = deficit(PLTriple(f, f, h, lam))

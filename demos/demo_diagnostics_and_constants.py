@@ -36,7 +36,7 @@ def main() -> int:
     shapes = [
         ("indicator", indicator(0.0, 2.0, 1.0, 1e-3)),
         ("exponential", truncated_exponential(1.0, 0.0, 20.0, 1.0, 1e-3)),
-        ("gaussian", gaussian(0.0, 1.0, 1.0, step=1e-3)),
+        ("gaussian", gaussian(0.0, 1.0, 1.0, step=1e-3, window=(-6.0, 6.0))),
     ]
     for name, phi in shapes:
         rows = check_logconcave_tails(phi, name)
@@ -47,14 +47,16 @@ def main() -> int:
     print()
     print("Sup-norm ratio control")
     print("=" * 90)
-    f = gaussian(0.0, 1.0, 1.0, step=2e-3)
-    g = gaussian(0.0, 1.05, 1.0, step=2e-3)
+    f = gaussian(0.0, 1.0, 1.0, step=2e-3, window=(-6.0, 6.0))
+    g = gaussian(0.0, 1.05, 1.0, step=2e-3, window=(-6.0, 6.0))
     row = check_sup_ratio(canonical_triple(f, g, 0.5, mode="halfgrid"), "near-equality")
     print(f"   near-equality: measured {row.measured:.4f} vs bound {row.bound:.4f} "
           f"(hypothesis met: {row.hypothesis_met})")
     check(row.hypothesis_met and row.passed, "near-equality pair within bound")
     row2 = check_sup_ratio(
-        canonical_triple(indicator(0.0, 1.0, 1.0, 1e-3), indicator(0.0, 2.0, 1.0, 1e-3), 0.5),
+        canonical_triple(
+            indicator(0.0, 1.0, 1.0, 1e-3), indicator(0.0, 2.0, 1.0, 1e-3), 0.5, mode="snap"
+        ),
         "indicator-pair",
     )
     print(f"   indicator pair: measured {row2.measured:.4f}, hypothesis met: {row2.hypothesis_met}")

@@ -36,7 +36,7 @@ def check(ok: bool, label: str, detail: str = "") -> None:
 def main() -> int:
     print("Round trip: Gaussian -> profile -> envelopes -> rebuild")
     print("=" * 90)
-    f = gaussian(0.0, 1.0, 1.0, step=1e-3)
+    f = gaussian(0.0, 1.0, 1.0, step=1e-3, window=(-6.0, 6.0))
     S = f.sup_norm()
     levels = level_grid(1e-6 * S, S * (1 - 1e-12), 512)
     prof = regularize(extract_profile(f, levels))

@@ -43,12 +43,13 @@ from .gridfn import (
     GridFunction,
     _check_window,
     _dumps,
+    _is_number,
     from_samples,
     l1_distance,
     read_function,
     write_function,
 )
-from .plcore import PLTriple, deficit, sup_convolution
+from .plcore import PLTriple, _check_lambda, deficit, sup_convolution
 from .rearrange import symmetric_decreasing
 from .reconstruct import (
     PipelineConfig,
@@ -83,9 +84,7 @@ class Example1Row:
     skipped: bool
 
 
-def run_example1(
-    etas: Sequence[float], step: float = 1e-3
-) -> tuple[list[Example1Row], dict]:
+def run_example1(etas: Sequence[float], step: float) -> tuple[list[Example1Row], dict]:
     """Deficit and minimal-shift distance for the perturbed Gaussian family.
 
     For each eta builds ``f(x) = exp(-pi x**2)`` on [-4, 4), ``g = (1 +
@@ -154,9 +153,7 @@ def _two_block_exponential(A: float, step: float) -> GridFunction:
     )
 
 
-def run_example2(
-    A_values: Sequence[float], step: float = 1e-3
-) -> list[Example2Row]:
+def run_example2(A_values: Sequence[float], step: float) -> list[Example2Row]:
     """Deficit and hull gap for the two-block exponential family.
 
     For each A >= 2, builds ``f = exp(-x)`` on ``[0,1] u [2A, 2A+1]``,
@@ -203,6 +200,10 @@ def run_example2(
 
 # -- sweep ----------------------------------------------------------------------
 
+# The most levels a sweep may ask for: stage 3's ``four_point_check`` takes
+# at most 4096 points.
+_MAX_LEVEL_COUNT = 4096
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -210,15 +211,15 @@ class SweepConfig:
 
     Attributes:
         amplitudes: Positive perturbation amplitudes.
-        n_seeds: Instances per amplitude.
-        seed: Base seed; instance k at amplitude index a uses seed
-            ``seed + 1000*a + k``.
-        lam: Interpolation weight.
+        n_seeds: Instances per amplitude (at least 1).
+        seed: Base seed (nonnegative); instance k at amplitude index a
+            uses seed ``seed + 1000*a + k``.
+        lam: Interpolation weight in (0, 1).
         step: Grid step of the generated instances (positive and finite).
         window: Grid window (finite and non-empty).
-        level_count: Level-grid size for the pipeline.
+        level_count: Level-grid size for the pipeline, 2 to 4096.
 
-    A bad step or window raises ``DomainError`` on construction.
+    A value out of range raises ``DomainError`` on construction.
     """
 
     amplitudes: tuple[float, ...]
@@ -231,6 +232,15 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         _check_window(*self.window, self.step)
+        _check_lambda(self.lam)
+        if not 2 <= self.level_count <= _MAX_LEVEL_COUNT:
+            raise DomainError(
+                f"level_count must lie in 2..{_MAX_LEVEL_COUNT}, got {self.level_count}"
+            )
+        if self.n_seeds < 1:
+            raise DomainError(f"n_seeds must be at least 1, got {self.n_seeds}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
 
     @staticmethod
     def from_json(path: str | Path) -> "SweepConfig":
@@ -244,7 +254,7 @@ class SweepConfig:
             raise FormatError(f"{path}: missing key 'amplitudes'")
         amps = payload["amplitudes"]
         if not isinstance(amps, list) or not all(
-            isinstance(a, (int, float)) and a >= 0 for a in amps
+            _is_number(a) and a >= 0 for a in amps
         ):
             raise FormatError(f"{path}: amplitudes must be nonnegative numbers")
         kwargs = {"amplitudes": tuple(float(a) for a in amps)}
@@ -261,6 +271,8 @@ class SweepConfig:
             value = payload[key]
             if key == "window" and not (isinstance(value, list) and len(value) == 2):
                 raise FormatError(f"{path}: window must be [lo, hi]")
+            if any(isinstance(v, bool) for v in (value if key == "window" else [value])):
+                raise FormatError(f"{path}: bad value for {key!r}: {value!r} (not a number)")
             try:
                 kwargs[key] = cast(value)
             except (TypeError, ValueError, OverflowError) as exc:

@@ -35,7 +35,7 @@ _TAIL_LEVELS = 64
 _LOGCONCAVE_TOL = 1e-6
 
 
-def check_logconcave_tails(phi: GridFunction, instance_id: str = "") -> list[CheckRow]:
+def check_logconcave_tails(phi: GridFunction, instance_id: str) -> list[CheckRow]:
     """Tail-geometry checks for a log-concave grid function.
 
     With ``L = int phi`` and ``S = sup phi``, at 64 values of s and of t:
@@ -88,9 +88,7 @@ def check_logconcave_tails(phi: GridFunction, instance_id: str = "") -> list[Che
     return rows
 
 
-def check_tail_truncation(
-    triple: PLTriple, eta: float, instance_id: str = ""
-) -> list[CheckRow]:
+def check_tail_truncation(triple: PLTriple, eta: float, instance_id: str) -> list[CheckRow]:
     """Truncation bounds at level ``eta * sup`` for f and g.
 
     For a normalized near-equality pair and ``sqrt(epsilon) <= eta < 1``,

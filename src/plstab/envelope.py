@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridfn import DomainError, _dumps
+from .gridfn import DomainError
 from .plcore import _nearest_and_distance, _weights
 from .profiles import LevelProfile
 
@@ -196,17 +196,6 @@ class ViolationReport:
     checked: int
     max_excess: float
     worst: tuple[float, ...] | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "checked": self.checked,
-            "max_excess": self.max_excess,
-            "worst_quadruple": list(self.worst) if self.worst else None,
-        }
-
-    def to_json(self) -> str:
-        return _dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _lipschitz(y: np.ndarray, valid: np.ndarray) -> float:

@@ -344,6 +344,11 @@ def _dumps(obj, **kwargs) -> str:
     return json.dumps(_finite_or_null(obj), allow_nan=False, **kwargs)
 
 
+def _is_number(v) -> bool:
+    """Whether a parsed JSON value is a number; ``true`` and ``false`` are not."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def read_function(path: str | Path):
     """Load a grid function of any dimension from a JSON file, validating every field.
 
@@ -375,7 +380,7 @@ def read_function(path: str | Path):
     for key in ("origin", "step"):
         items = payload[key] if ndim > 1 else [payload[key]]
         if not (isinstance(items, list) and len(items) == ndim) or not all(
-            isinstance(v, (int, float)) for v in items
+            _is_number(v) for v in items
         ):
             kind = "a number" if ndim == 1 else f"a list of {ndim} numbers"
             raise FormatError(f"{path}: {key} must be {kind}, got {payload[key]!r}")
@@ -392,7 +397,7 @@ def read_function(path: str | Path):
         shape.append(width)
         values = [v for row in values for v in row]
     for k, v in enumerate(values):
-        if not isinstance(v, (int, float)):
+        if not _is_number(v):
             cell = tuple(int(i) for i in np.unravel_index(k, shape))
             raise FormatError(
                 f"{path}: value at index {_index_label(cell)} is not a number: {v!r}"

@@ -659,7 +659,7 @@ def canonical_triple(
     f: GridFunction,
     g: GridFunction,
     lam: float,
-    mode: Literal["snap", "halfgrid", "auto"] = "snap",
+    mode: Literal["snap", "halfgrid", "auto"],
 ) -> PLTriple:
     """Triple with ``h = sup_convolution(f, g, lam)``."""
     return PLTriple(f, g, sup_convolution(f, g, lam, mode=mode), lam)

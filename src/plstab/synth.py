@@ -55,11 +55,11 @@ def _flush_tiny(f: GridFunction) -> GridFunction:
 
 
 def gaussian(
-    mean: float = 0.0,
-    scale: float = 1.0,
-    height: float = 1.0,
-    window: tuple[float, float] = (-6.0, 6.0),
-    step: float = 1e-3,
+    mean: float,
+    scale: float,
+    height: float,
+    window: tuple[float, float],
+    step: float,
 ) -> GridFunction:
     """``height * exp(-pi ((x - mean)/scale)**2)`` sampled at cell centers."""
     return _flush_tiny(
@@ -71,9 +71,7 @@ def gaussian(
     )
 
 
-def indicator(
-    a: float, b: float, height: float = 1.0, step: float = 1e-3
-) -> GridFunction:
+def indicator(a: float, b: float, height: float, step: float) -> GridFunction:
     """``height`` on ``[a, b)``, supported on whole cells of an aligned grid."""
     return from_samples(
         lambda x: np.where((x >= a) & (x < b), height, 0.0),
@@ -83,11 +81,7 @@ def indicator(
 
 
 def truncated_exponential(
-    rate: float = 1.0,
-    a: float = 0.0,
-    b: float = 1.0,
-    height: float = 1.0,
-    step: float = 1e-3,
+    rate: float, a: float, b: float, height: float, step: float
 ) -> GridFunction:
     """``height * exp(-rate (x - a))`` on ``[a, b)``, zero elsewhere."""
     return _flush_tiny(
@@ -118,9 +112,7 @@ _BUMP_MAX = _bump_max()
 
 
 def random_log_concave(
-    seed: int | np.random.Generator,
-    step: float = 1e-3,
-    window: tuple[float, float] = (-4.0, 4.0),
+    seed: int | np.random.Generator, step: float, window: tuple[float, float]
 ) -> GridFunction:
     """Random member of a mixed family of log-concave functions.
 
@@ -162,9 +154,7 @@ def random_log_concave(
 
 
 def random_grid_function(
-    seed: int | np.random.Generator,
-    step: float = 1e-3,
-    window: tuple[float, float] = (-4.0, 4.0),
+    seed: int | np.random.Generator, step: float, window: tuple[float, float]
 ) -> GridFunction:
     """Random nonnegative function: bumps, noise, and hard zeros (each cell
     is zero with probability 0.2)."""
@@ -191,8 +181,8 @@ def random_grid_function(
 def perturbed_pair(
     seed: int | np.random.Generator,
     amplitude: float,
-    step: float = 1e-3,
-    window: tuple[float, float] = (-4.0, 4.0),
+    step: float,
+    window: tuple[float, float],
 ) -> tuple[GridFunction, GridFunction]:
     """A log-concave f and a multiplicative perturbation g of it.
 

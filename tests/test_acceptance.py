@@ -192,7 +192,7 @@ def test_reconstruction_outputs_are_log_concave():
             assert is_log_concave(F, tol=1e-9).is_log_concave, seed
             count += 1
     for seed in range(100):
-        f = random_log_concave(seed, step=2e-3)
+        f = random_log_concave(seed, step=2e-3, window=(-4.0, 4.0))
         S = f.sup_norm()
         pos = f.values[f.values > 0]
         floor = min(max(pos.min(), 1e-6 * S), 0.5 * S)
@@ -224,7 +224,7 @@ def test_amgm_stability_random_sweep():
 def test_pipeline_errors_small_and_track_deficit():
     cfg = PipelineConfig(level_count=256, supconv_mode="auto")
     for seed in range(50):
-        f = random_log_concave(seed, step=2e-3)
+        f = random_log_concave(seed, step=2e-3, window=(-4.0, 4.0))
         t = canonical_triple(f, f, 0.5, mode="halfgrid")
         rep, *_ = stability_decompose(t, cfg)
         total = rep.err_f + rep.err_g + rep.err_h
@@ -255,16 +255,16 @@ def test_tail_checks_pass_on_seeded_family():
         indicator(-2.0, 3.0, 0.25, 1e-3),
         from_samples(lambda x: np.exp(-x), 0.0, 20.0, 1e-3),
         from_samples(lambda x: 2.0 * np.exp(-3.0 * x), 0.0, 8.0, 1e-3),
-        gaussian(0.0, 1.0, 1.0, step=1e-3),
-        gaussian(1.0, 0.4, 2.0, step=1e-3),
+        gaussian(0.0, 1.0, 1.0, step=1e-3, window=(-6.0, 6.0)),
+        gaussian(1.0, 0.4, 2.0, step=1e-3, window=(-6.0, 6.0)),
     ]
     for phi in special:
-        rows = check_logconcave_tails(phi)
+        rows = check_logconcave_tails(phi, instance_id="")
         assert rows and all(r.passed for r in rows)
         checked += 1
     for seed in range(44):
-        phi = random_log_concave(seed, step=2e-3)
-        rows = check_logconcave_tails(phi)
+        phi = random_log_concave(seed, step=2e-3, window=(-4.0, 4.0))
+        rows = check_logconcave_tails(phi, instance_id="")
         assert all(r.passed for r in rows), seed
         checked += 1
     assert checked == 50

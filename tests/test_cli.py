@@ -112,6 +112,13 @@ def test_rearrange_2d_file_exit_2(tmp_path, capsys):
     assert "one dimension, got 2" in capsys.readouterr().err
 
 
+def test_rearrange_boolean_in_file_exit_3(tmp_path, capsys):
+    src = tmp_path / "f.json"
+    src.write_text(json.dumps({"origin": True, "step": 0.5, "values": [1, True, 2]}))
+    assert main(["rearrange", str(src)]) == 3
+    assert "origin" in capsys.readouterr().err
+
+
 # -- reconstruct --------------------------------------------------------------------
 
 
@@ -258,11 +265,38 @@ def test_sweep_config_errors(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "absent.json")]) == 3
 
 
-@pytest.mark.parametrize("key, value", [("step", 0), ("window", [4, -4]), ("step", 5e-324)])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("step", 0),
+        ("window", [4, -4]),
+        ("step", 5e-324),
+        ("lam", 1.5),
+        ("lam", 0.0),
+        ("level_count", 1),
+        ("level_count", 5000),
+        ("n_seeds", -3),
+        ("n_seeds", 0),
+        ("seed", -5),
+    ],
+)
 def test_sweep_config_bad_grid_exit_2(tmp_path, capsys, key, value):
     cfg = sweep_config(tmp_path, **{key: value})
     assert main(["sweep", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_sweep_config_level_count_4096_is_accepted():
+    from plstab.cli import SweepConfig
+
+    assert SweepConfig((0.1,), level_count=4096).level_count == 4096
+    assert SweepConfig((0.1,), level_count=2).level_count == 2
+
+
+def test_sweep_config_boolean_amplitude_exit_3(tmp_path, capsys):
+    cfg = sweep_config(tmp_path, amplitudes=[True])
+    assert main(["sweep", "--config", cfg]) == 3
+    assert "amplitudes must be nonnegative numbers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -274,6 +308,9 @@ def test_sweep_config_bad_grid_exit_2(tmp_path, capsys, key, value):
         ("step", None),
         ("level_count", math.inf),
         ("window", ["a", 1.0]),
+        ("n_seeds", True),
+        ("lam", False),
+        ("window", [True, 2.0]),
     ],
 )
 def test_sweep_config_bad_value_exit_3(tmp_path, capsys, key, value):

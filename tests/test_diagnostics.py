@@ -43,7 +43,7 @@ def test_tails_pass_on_exponential():
 
 
 def test_tails_pass_on_gaussian():
-    rows = check_logconcave_tails(gaussian(0.0, 1.0, 1.0, step=STEP), "gauss")
+    rows = check_logconcave_tails(gaussian(0.0, 1.0, 1.0, step=STEP, window=(-6.0, 6.0)), "gauss")
     assert all(r.passed for r in rows)
 
 
@@ -64,12 +64,12 @@ def test_tails_low_mass_matches_exponential_closed_form():
 def test_tails_reject_non_log_concave():
     v = np.concatenate([np.ones(50), np.zeros(50), np.ones(50)])
     with pytest.raises(DomainError):
-        check_logconcave_tails(GridFunction(0.0, 0.01, v))
+        check_logconcave_tails(GridFunction(0.0, 0.01, v), instance_id="")
 
 
 def test_tails_reject_zero():
     with pytest.raises(DomainError):
-        check_logconcave_tails(GridFunction(0.0, 0.1, np.zeros(8)))
+        check_logconcave_tails(GridFunction(0.0, 0.1, np.zeros(8)), instance_id="")
 
 
 # -- check_sup_ratio -------------------------------------------------------------
@@ -77,7 +77,7 @@ def test_tails_reject_zero():
 
 def test_sup_ratio_indicator_pair_hypothesis_unmet():
     t = canonical_triple(
-        indicator(0.0, 1.0, 1.0, STEP), indicator(0.0, 2.0, 1.0, STEP), 0.5
+        indicator(0.0, 1.0, 1.0, STEP), indicator(0.0, 2.0, 1.0, STEP), 0.5, mode="snap"
     )
     row = check_sup_ratio(t, "boxes")
     # sup ratio is 1 and the mass ratio is 2, so the measured gap is exactly 1;
@@ -88,7 +88,7 @@ def test_sup_ratio_indicator_pair_hypothesis_unmet():
 
 
 def test_sup_ratio_equality_pair():
-    f = gaussian(0.0, 1.0, 1.0, step=2e-3)
+    f = gaussian(0.0, 1.0, 1.0, step=2e-3, window=(-6.0, 6.0))
     t = canonical_triple(f, f, 0.5, mode="halfgrid")
     row = check_sup_ratio(t, "equal")
     assert row.hypothesis_met
@@ -97,8 +97,8 @@ def test_sup_ratio_equality_pair():
 
 
 def test_sup_ratio_near_equality_within_bound():
-    f = gaussian(0.0, 1.0, 1.0, step=2e-3)
-    g = gaussian(0.0, 1.05, 1.0, step=2e-3)
+    f = gaussian(0.0, 1.0, 1.0, step=2e-3, window=(-6.0, 6.0))
+    g = gaussian(0.0, 1.05, 1.0, step=2e-3, window=(-6.0, 6.0))
     t = canonical_triple(f, g, 0.5, mode="halfgrid")
     row = check_sup_ratio(t, "widths")
     eps = max(deficit(t).epsilon, 0.0)
@@ -132,7 +132,7 @@ def test_truncation_gaussian_width_closed_form():
 
 def test_truncation_indicator_full_width():
     f = indicator(0.0, 1.0, 1.0, STEP)
-    t = canonical_triple(f, f, 0.5)
+    t = canonical_triple(f, f, 0.5, mode="snap")
     rows = check_tail_truncation(t, 0.5, "box")
     width = next(r for r in rows if r.check_name == "trunc_width_f")
     assert width.measured == pytest.approx(1.0, abs=3 * STEP)
@@ -141,18 +141,18 @@ def test_truncation_indicator_full_width():
 
 
 def test_truncation_eta_domain():
-    f = gaussian(0.0, 1.0, 1.0, step=2e-3)
+    f = gaussian(0.0, 1.0, 1.0, step=2e-3, window=(-6.0, 6.0))
     t = canonical_triple(f, f, 0.5, mode="halfgrid")
     for bad in (0.0, 1.0, 1.5, -0.1, float("nan")):
         with pytest.raises(DomainError):
-            check_tail_truncation(t, bad)
+            check_tail_truncation(t, bad, instance_id="")
     # A pair with a large deficit forbids eta below sqrt(epsilon).
     tb = canonical_triple(
-        indicator(0.0, 1.0, 1.0, STEP), indicator(0.0, 2.0, 1.0, STEP), 0.5
+        indicator(0.0, 1.0, 1.0, STEP), indicator(0.0, 2.0, 1.0, STEP), 0.5, mode="snap"
     )
     assert math.sqrt(deficit(tb).epsilon) > 0.1
     with pytest.raises(DomainError):
-        check_tail_truncation(tb, 0.1)
+        check_tail_truncation(tb, 0.1, instance_id="")
 
 
 # -- constants over a tau grid ------------------------------------------------------

@@ -268,12 +268,11 @@ def test_four_point_sigma_suppresses_planted():
     assert rep.count == 0
 
 
-def test_four_point_report_serializes():
+def test_four_point_report_names_the_worst_quadruple():
     T = np.linspace(0, 1, 4)
     [rep] = four_point_check(T, [T**2], 0.5, 0.0, None)
-    d = rep.to_json_dict()
-    assert d["count"] == 1
-    assert len(d["worst_quadruple"]) == 4
+    assert rep.count == 1
+    assert len(rep.worst) == 4
 
 
 def test_four_point_requires_uniform_grid():

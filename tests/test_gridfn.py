@@ -426,6 +426,24 @@ def test_read_function_names_offending_index(tmp_path):
     assert "1" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "payload, named",
+    [
+        ({"origin": True, "step": 0.5, "values": [1, 2]}, "origin"),
+        ({"origin": 0.0, "step": True, "values": [1, 2]}, "step"),
+        ({"origin": 0.0, "step": 0.5, "values": [1, True, 2]}, "index 1"),
+        ({"origin": [0.0, False], "step": [0.5, 0.5], "values": [[1, 2]]}, "origin"),
+        ({"origin": [0.0, 0.0], "step": [0.5, 0.5], "values": [[1, 2], [True, 3]]}, "(1, 0)"),
+    ],
+)
+def test_read_function_rejects_booleans(tmp_path, payload, named):
+    p = tmp_path / "bool.json"
+    p.write_text(json.dumps(payload))
+    with pytest.raises(FormatError) as exc:
+        read_function(p)
+    assert named in str(exc.value)
+
+
 def test_read_function_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         read_function(tmp_path / "nope.json")

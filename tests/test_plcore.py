@@ -44,9 +44,9 @@ def test_condition_holds_for_equal_indicators():
 
 def test_condition_holds_for_canonical_triples():
     for seed in range(8):
-        f = random_log_concave(seed, step=5e-3)
-        g = random_log_concave(seed + 100, step=5e-3)
-        t = canonical_triple(f, g, 0.4)
+        f = random_log_concave(seed, step=5e-3, window=(-4.0, 4.0))
+        g = random_log_concave(seed + 100, step=5e-3, window=(-4.0, 4.0))
+        t = canonical_triple(f, g, 0.4, mode="snap")
         rep = t.condition_satisfied()
         assert rep.satisfied, (seed, rep.max_violation, rep.worst_pair)
 
@@ -165,7 +165,7 @@ def test_supconv_box_pair_support():
 
 
 def test_supconv_gaussian_pair_analytic():
-    f = gaussian(0.0, 1.0, 1.0)
+    f = gaussian(0.0, 1.0, 1.0, window=(-6.0, 6.0), step=1e-3)
     g = from_samples(lambda x: np.exp(-np.pi * (x - 1.0) ** 2), -6.0, 6.0, STEP)
     h = sup_convolution(f, g, 0.5)
     ref = from_samples(
@@ -191,8 +191,8 @@ def test_supconv_monotone_in_f():
 
 def test_supconv_log_concave_closure_halfgrid():
     for seed in range(25):
-        a = random_log_concave(seed)
-        b = random_log_concave(seed + 500)
+        a = random_log_concave(seed, step=1e-3, window=(-4.0, 4.0))
+        b = random_log_concave(seed + 500, step=1e-3, window=(-4.0, 4.0))
         h = sup_convolution(a, b, 0.5, mode="halfgrid")
         assert is_log_concave(h, tol=1e-9).is_log_concave, seed
 
@@ -211,8 +211,8 @@ def test_supconv_log_concave_closure_snap():
     # Snapping moves each contributing pair by at most one output cell, so
     # adjacent log ratios can jitter by O(step * max log-slope).
     for seed in range(25):
-        a = random_log_concave(seed)
-        b = random_log_concave(seed + 500)
+        a = random_log_concave(seed, step=1e-3, window=(-4.0, 4.0))
+        b = random_log_concave(seed + 500, step=1e-3, window=(-4.0, 4.0))
         h = sup_convolution(a, b, 0.3)
         slope = max(_max_log_slope(a), _max_log_slope(b))
         if not math.isfinite(slope):
@@ -651,7 +651,7 @@ def test_lattice_verdict_declines_outside_its_conditions(monkeypatch):
 
     assert verdict(roof(0.3, 0.0, 1.0)) and verdict(roof(0.3, 3.0, 1.0))
     declined = [
-        canonical_triple(f, g, 0.37),
+        canonical_triple(f, g, 0.37, mode="snap"),
         roof(0.37, 0.0, 1.0),
         roof(0.3, 0.3, 1.0),
         roof(0.3, 1e-6, 1.0),
@@ -662,7 +662,7 @@ def test_lattice_verdict_declines_outside_its_conditions(monkeypatch):
         assert not verdict(triple)
         rep = triple.condition_satisfied()
         assert rep == scan(triple) and rep.satisfied
-    t = canonical_triple(f, g, 0.3)
+    t = canonical_triple(f, g, 0.3, mode="snap")
     monkeypatch.setattr(plcore, "_MAX_LATTICE_CELLS", 0)
     assert not verdict(t)
     assert t.condition_satisfied() == scan(t)
@@ -680,13 +680,13 @@ def test_deficit_equal_boxes_is_zero():
 
 def test_deficit_box_pair_closed_form():
     f, g = box_pair()
-    rep = deficit(canonical_triple(f, g, 0.5))
+    rep = deficit(canonical_triple(f, g, 0.5, mode="snap"))
     assert abs(rep.epsilon - (1.5 / math.sqrt(2.0) - 1.0)) <= 2 * STEP
     assert rep.a == pytest.approx(2.0, rel=1e-12)
 
 
 def test_deficit_gaussian_equality_both_modes():
-    f = gaussian(0.0, 1.0, 1.0)
+    f = gaussian(0.0, 1.0, 1.0, window=(-6.0, 6.0), step=1e-3)
     for lam, mode in ((0.3, "snap"), (0.5, "halfgrid")):
         rep = deficit(canonical_triple(f, f, lam, mode=mode))
         assert -1e-3 <= rep.epsilon <= 1e-3, (lam, mode, rep.epsilon)
@@ -703,7 +703,7 @@ def test_deficit_rejects_zero_mass():
 
 def test_deficit_report_json_round_trip():
     f, g = box_pair(0.01)
-    rep = deficit(canonical_triple(f, g, 0.5))
+    rep = deficit(canonical_triple(f, g, 0.5, mode="snap"))
     d = rep.to_json_dict()
     for key in ("int_f", "int_g", "int_h", "geo_mean", "epsilon", "a"):
         assert key in d
@@ -716,7 +716,7 @@ def test_pl_inequality_for_random_canonical_triples():
         f = GridFunction(rng.uniform(-1, 0), 0.01, rng.uniform(0, 2, n1))
         g = GridFunction(rng.uniform(-1, 0), 0.01, rng.uniform(0, 2, n2))
         lam = rng.uniform(0.1, 0.9)
-        t = canonical_triple(f, g, lam)
+        t = canonical_triple(f, g, lam, mode="snap")
         rep = deficit(t)
         assert rep.epsilon >= -quadrature_tol(f, g), (k, rep.epsilon)
 
@@ -752,8 +752,8 @@ def test_level_set_inclusion_in_canonical_h():
     # set of h at the geometric-mean level, up to one-cell boundary snap.
     rng = np.random.default_rng(31)
     for seed in range(10):
-        f = random_log_concave(seed, step=2e-3)
-        g = random_log_concave(seed + 50, step=2e-3)
+        f = random_log_concave(seed, step=2e-3, window=(-4.0, 4.0))
+        g = random_log_concave(seed + 50, step=2e-3, window=(-4.0, 4.0))
         lam = float(rng.uniform(0.25, 0.75))
         h = sup_convolution(f, g, lam)
         for _ in range(5):

@@ -179,7 +179,7 @@ def test_extract_profile_matches_level_loop_on_random_functions():
 
 
 def test_good_levels_equality_triple():
-    f = gaussian(0.0, 1.0, 1.0, step=2e-3)
+    f = gaussian(0.0, 1.0, 1.0, step=2e-3, window=(-6.0, 6.0))
     t = canonical_triple(f, f, 0.5, mode="halfgrid")
     levels = level_grid(1e-3, 0.99 * f.sup_norm(), 64)
     rep = good_levels(t, levels, threshold=quadrature_tol(f, f) + 0.05)
@@ -190,7 +190,7 @@ def test_good_levels_equality_triple():
 def test_good_levels_box_pair_zero_excess():
     f = indicator(0.0, 1.0, 1.0, STEP)
     g = indicator(0.0, 2.0, 1.0, STEP)
-    t = canonical_triple(f, g, 0.5)
+    t = canonical_triple(f, g, 0.5, mode="snap")
     levels = np.linspace(0.05, 0.95, 19)
     rep = good_levels(t, levels, threshold=0.05)
     # Measures are 1, 2, 1.5 at every level in (0,1): excess exactly 0.
@@ -204,7 +204,7 @@ def _default_threshold(triple):
 
 
 def test_good_levels_default_threshold_scales():
-    f = gaussian(0.0, 1.0, 1.0, step=2e-3)
+    f = gaussian(0.0, 1.0, 1.0, step=2e-3, window=(-6.0, 6.0))
     # Snap mode leaves a small positive deficit, giving a positive default.
     t = canonical_triple(f, f, 0.5, mode="snap")
     levels = level_grid(1e-3, 0.99, 16)

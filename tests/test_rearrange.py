@@ -29,7 +29,7 @@ def test_two_bump_becomes_centered_box():
 
 
 def test_symmetric_gaussian_is_fixed_point():
-    f = gaussian(0.0, 1.0, 1.0)
+    f = gaussian(0.0, 1.0, 1.0, window=(-6.0, 6.0), step=1e-3)
     fs = symmetric_decreasing(f)
     assert fs.origin == f.origin and fs.step == f.step
     # Cell-exact up to tie-ordering of ulp-equal tail values.
@@ -95,8 +95,8 @@ def test_profile_is_unimodal():
 
 
 def test_symmetric_triple_unchanged():
-    f = gaussian(0.0, 1.0, 1.0, step=2e-3)
-    t = canonical_triple(f, f, 0.5)
+    f = gaussian(0.0, 1.0, 1.0, step=2e-3, window=(-6.0, 6.0))
+    t = canonical_triple(f, f, 0.5, mode="snap")
     rt = rearranged_triple(t)
     assert l1_distance(rt.f, f) <= 1e-15
     assert l1_distance(rt.g, f) <= 1e-15
@@ -105,7 +105,7 @@ def test_symmetric_triple_unchanged():
 def test_separated_boxes_recenter():
     f = indicator(0.0, 1.0, 1.0, STEP)
     g = indicator(3.0, 4.0, 1.0, STEP)
-    t = canonical_triple(f, g, 0.5)
+    t = canonical_triple(f, g, 0.5, mode="snap")
     rt = rearranged_triple(t)
     box = GridFunction(-0.5, STEP, np.ones(1000))
     assert l1_distance(rt.f, box) == 0.0
@@ -120,7 +120,7 @@ def test_rearrangement_keeps_deficit_within_quadrature_slack():
         f = random_grid_function(seed, step=5e-3, window=(-1.5, 1.5))
         g = random_grid_function(seed + 900, step=5e-3, window=(-1.5, 1.5))
         lam = 0.5
-        t = canonical_triple(f, g, lam)
+        t = canonical_triple(f, g, lam, mode="snap")
         rt = rearranged_triple(t)
         slack = quadrature_tol(f, g)
         # Rearrangement cannot worsen the deficit beyond quadrature error.
@@ -129,5 +129,5 @@ def test_rearrangement_keeps_deficit_within_quadrature_slack():
 
 def test_rearranged_triple_keeps_lambda():
     f = indicator(0.0, 1.0, 1.0, 0.01)
-    t = canonical_triple(f, f, 0.375)
+    t = canonical_triple(f, f, 0.375, mode="snap")
     assert rearranged_triple(t).lam == 0.375

@@ -84,7 +84,7 @@ def test_constants_validation():
 
 
 def test_log_concave_gaussian():
-    assert is_log_concave(gaussian(0.0, 1.0, 1.0)).is_log_concave
+    assert is_log_concave(gaussian(0.0, 1.0, 1.0, window=(-6.0, 6.0), step=1e-3)).is_log_concave
 
 
 def test_log_concave_two_bump_fails():
@@ -123,7 +123,7 @@ def test_log_concave_subnormal_tails_no_nan():
 
 def test_hull_of_log_concave_is_identity():
     for seed in range(20):
-        f = random_log_concave(seed, step=2e-3)
+        f = random_log_concave(seed, step=2e-3, window=(-4.0, 4.0))
         F = log_concave_hull(f)
         assert l1_distance(F, f) <= 1e-9 * max(1.0, f.integral())
 
@@ -193,7 +193,7 @@ def test_from_envelopes_sqrt_gives_gaussian():
 
 
 def test_from_envelopes_gaussian_round_trip():
-    f = gaussian(0.0, 1.0, 1.0)
+    f = gaussian(0.0, 1.0, 1.0, window=(-6.0, 6.0), step=1e-3)
     prof = regularize(extract_profile(f, level_grid(1e-6, f.sup_norm() * (1 - 1e-12), 512)))
     env = _fit_envelopes(prof)
     fre = from_envelopes(env, floor_level=1e-6, step=STEP)
@@ -202,7 +202,7 @@ def test_from_envelopes_gaussian_round_trip():
 
 def test_from_envelopes_outputs_are_log_concave():
     for seed in range(30):
-        f = random_log_concave(seed, step=2e-3)
+        f = random_log_concave(seed, step=2e-3, window=(-4.0, 4.0))
         pos = f.values[f.values > 0]
         # Indicator-like draws have min positive value == sup; keep the level
         # window nonempty by capping the floor below the top.
@@ -233,14 +233,14 @@ def test_from_envelopes_rejects_zero_width_support():
 
 
 def test_align_identity():
-    f = gaussian(0.0, 1.0, 1.0, step=2e-3)
+    f = gaussian(0.0, 1.0, 1.0, step=2e-3, window=(-6.0, 6.0))
     res = align(f, f, 0.5, 1.0)
     assert res.w == 0.0
     assert res.err <= 1e-12
 
 
 def test_align_planted_translation():
-    h = gaussian(0.0, 1.0, 1.0, step=2e-3)
+    h = gaussian(0.0, 1.0, 1.0, step=2e-3, window=(-6.0, 6.0))
     f = h.shift(-3.0)  # f(x) = h(x - (-3)) => h(x + 3) = f at x - 3... direct check below
     res = align(f, h, 0.5, 1.0)
     # h shifted by lam * w must land on f: w = 2 * (-3.0) = -6 or +6
@@ -251,7 +251,7 @@ def test_align_planted_translation():
 
 
 def test_align_half_height_scaling():
-    h = gaussian(0.0, 1.0, 1.0, step=2e-3)
+    h = gaussian(0.0, 1.0, 1.0, step=2e-3, window=(-6.0, 6.0))
     target_shift = 1.0
     htilde = h.shift(target_shift).scale(0.5)
     # Choose a with a^lam = 0.5 so the scaled target matches exactly.
@@ -271,7 +271,7 @@ def equality_config():
 
 
 def test_pipeline_equality_triple_near_fixed_point():
-    f = gaussian(0.0, 1.0, 1.0, step=2e-3)
+    f = gaussian(0.0, 1.0, 1.0, step=2e-3, window=(-6.0, 6.0))
     t = canonical_triple(f, f, 0.5, mode="halfgrid")
     rep, ft, gt, ht = stability_decompose(t, equality_config())
     budget = 10.0 * f.step * (3.0 * f.sup_norm())
@@ -283,8 +283,8 @@ def test_pipeline_equality_triple_near_fixed_point():
 
 
 def test_pipeline_outputs_rebuild_h():
-    f = random_log_concave(3, step=2e-3)
-    g = random_log_concave(77, step=2e-3)
+    f = random_log_concave(3, step=2e-3, window=(-4.0, 4.0))
+    g = random_log_concave(77, step=2e-3, window=(-4.0, 4.0))
     t = canonical_triple(f, g, 0.5, mode="halfgrid")
     rep, ft, gt, ht = stability_decompose(t, equality_config())
     ht2 = sup_convolution(ft, gt, 0.5, mode="halfgrid")
@@ -292,15 +292,15 @@ def test_pipeline_outputs_rebuild_h():
 
 
 def test_pipeline_epsilon_matches_deficit():
-    f = random_log_concave(5, step=2e-3)
+    f = random_log_concave(5, step=2e-3, window=(-4.0, 4.0))
     t = canonical_triple(f, f, 0.5, mode="halfgrid")
     rep, *_ = stability_decompose(t, equality_config())
     assert rep.epsilon == pytest.approx(deficit(t).epsilon, abs=1e-12)
 
 
 def test_pipeline_scales_outputs_to_original_mass():
-    f = random_log_concave(9, step=2e-3).scale(2.0)
-    g = random_log_concave(31, step=2e-3).scale(0.5)
+    f = random_log_concave(9, step=2e-3, window=(-4.0, 4.0)).scale(2.0)
+    g = random_log_concave(31, step=2e-3, window=(-4.0, 4.0)).scale(0.5)
     t = canonical_triple(f, g, 0.5, mode="halfgrid")
     rep, ft, gt, ht = stability_decompose(t, equality_config())
     d = deficit(t)

@@ -4,8 +4,9 @@ Each private name in ``OWNERS`` is a decision that one module owns: the
 rational form of lambda (the snap rule) and the whole-cell shift scan.
 Another module may call the owner's public functions, but neither import
 the name nor reach it as an attribute.  No module imports a private
-name of ``envelope``, and no module imports a name it never reads.  Only ``gridfn`` cuts a window into cells.  And the count of
-settable values may not grow unseen.
+name of ``envelope``, and no module imports a name it never reads.  Only
+``gridfn`` cuts a window into cells.  The count of settable values may
+not grow unseen, and every default is one that some program leaves out.
 """
 
 import ast
@@ -129,11 +130,9 @@ def test_only_gridfn_forms_cell_centers(path):
 # The settable values of the package: defaulted parameters of public
 # functions and methods, defaulted fields of public dataclasses, and CLI
 # options.  A new one raises this bound in its own diff.
-MAX_SETTABLE_VALUES = 57
+MAX_SETTABLE_VALUES = 34
 
-
-def _defaults(fn: ast.AST) -> int:
-    return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+BENCH = PACKAGE.parents[1] / "bench"
 
 
 def _is_public(node: ast.AST) -> bool:
@@ -150,18 +149,45 @@ def _is_defaulted_field(node: ast.AST) -> bool:
     return True
 
 
-def _settable_values(tree: ast.Module) -> int:
+def _defaulted_parameters(fn: ast.AST, callee: str, bound: int):
+    """``(callee, name, position)`` of each defaulted parameter of a function.
+
+    ``position`` counts the call's positional arguments, leaving out the
+    ``bound`` leading parameters (``self``); it is None for keyword-only ones.
+    """
+    positional = (fn.args.posonlyargs + fn.args.args)[bound:]
+    for i in range(len(positional) - len(fn.args.defaults), len(positional)):
+        yield callee, positional[i].arg, i
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield callee, arg.arg, None
+
+
+def _defaulted(tree: ast.Module):
+    """``(callee, name, position)`` of each defaulted parameter and field of a module.
+
+    ``callee`` is the name a call uses: the function or method, or the
+    class for ``__init__`` and for dataclass fields.
+    """
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-    count = 0
     for node in tree.body:
         if isinstance(node, functions) and _is_public(node):
-            count += _defaults(node)
+            yield from _defaulted_parameters(node, node.name, 0)
         elif isinstance(node, ast.ClassDef) and _is_public(node):
-            count += sum(
-                _defaults(m) for m in node.body if isinstance(m, functions) and _is_public(m)
-            )
+            for m in node.body:
+                if isinstance(m, functions) and _is_public(m):
+                    static = any(getattr(d, "id", "") == "staticmethod" for d in m.decorator_list)
+                    callee = node.name if m.name == "__init__" else m.name
+                    yield from _defaulted_parameters(m, callee, 0 if static else 1)
             if any("dataclass" in ast.dump(d) for d in node.decorator_list):
-                count += sum(_is_defaulted_field(a) for a in node.body)
+                attrs = [a for a in node.body if isinstance(a, ast.AnnAssign)]
+                for i, a in enumerate(attrs):
+                    if _is_defaulted_field(a):
+                        yield node.name, a.target.id, i
+
+
+def _settable_values(tree: ast.Module) -> int:
+    count = len(list(_defaulted(tree)))
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Call)
@@ -176,3 +202,37 @@ def _settable_values(tree: ast.Module) -> int:
 def test_settable_values_do_not_grow():
     total = sum(_settable_values(ast.parse(p.read_text())) for p in PACKAGE.glob("*.py"))
     assert total <= MAX_SETTABLE_VALUES, f"{total} settable values"
+
+
+def _omits(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether a call leaves a parameter to its default; ``**kwargs`` leaves all."""
+    if any(k.arg is None for k in call.keywords):
+        return True
+    if any(k.arg == name for k in call.keywords):
+        return False
+    if position is None:
+        return True
+    return not any(isinstance(a, ast.Starred) for a in call.args) and len(call.args) <= position
+
+
+# A default stays only while a program relies on it: some call in the
+# package or the benchmark, matched by name, leaves it out.  A default
+# that only tests omit becomes a required argument.
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_every_default_is_omitted_by_a_program(path):
+    calls = [
+        node
+        for program in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(program.read_text()))
+        if isinstance(node, ast.Call)
+    ]
+    unused = [
+        f"{callee}({name})"
+        for callee, name, position in _defaulted(ast.parse(path.read_text()))
+        if not any(
+            callee in (getattr(c.func, "id", None), getattr(c.func, "attr", None))
+            and _omits(c, name, position)
+            for c in calls
+        )
+    ]
+    assert unused == [], f"{path.stem}: defaults no program omits"
