@@ -200,9 +200,25 @@ def run_example2(A_values: Sequence[float], step: float) -> list[Example2Row]:
 
 # -- sweep ----------------------------------------------------------------------
 
-# The most levels a sweep may ask for: stage 3's ``four_point_check`` takes
-# at most 4096 points.
-_MAX_LEVEL_COUNT = 4096
+def _is_integer(v) -> bool:
+    """Whether a parsed JSON value is an integer; ``true`` and ``false`` are not."""
+    return _is_number(v) and isinstance(v, int)
+
+
+# The optional keys of a sweep file: the test each value must pass, what
+# that test asks for, and the conversion.
+_SWEEP_KEYS = {
+    "n_seeds": (_is_integer, "an integer", int),
+    "seed": (_is_integer, "an integer", int),
+    "level_count": (_is_integer, "an integer", int),
+    "lam": (_is_number, "a number", float),
+    "step": (_is_number, "a number", float),
+    "window": (
+        lambda w: isinstance(w, list) and len(w) == 2 and all(map(_is_number, w)),
+        "[lo, hi] with two numbers",
+        lambda w: (float(w[0]), float(w[1])),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -217,7 +233,8 @@ class SweepConfig:
         lam: Interpolation weight in (0, 1).
         step: Grid step of the generated instances (positive and finite).
         window: Grid window (finite and non-empty).
-        level_count: Level-grid size for the pipeline, 2 to 4096.
+        level_count: Level-grid size for the pipeline, in the range
+            ``PipelineConfig`` accepts.
 
     A value out of range raises ``DomainError`` on construction.
     """
@@ -233,10 +250,7 @@ class SweepConfig:
     def __post_init__(self) -> None:
         _check_window(*self.window, self.step)
         _check_lambda(self.lam)
-        if not 2 <= self.level_count <= _MAX_LEVEL_COUNT:
-            raise DomainError(
-                f"level_count must lie in 2..{_MAX_LEVEL_COUNT}, got {self.level_count}"
-            )
+        PipelineConfig(level_count=self.level_count)  # checks the level count
         if self.n_seeds < 1:
             raise DomainError(f"n_seeds must be at least 1, got {self.n_seeds}")
         if self.seed < 0:
@@ -244,6 +258,8 @@ class SweepConfig:
 
     @staticmethod
     def from_json(path: str | Path) -> "SweepConfig":
+        """Read a sweep file: JSON integers for the counts and the seed,
+        JSON numbers for every other value (``FormatError`` otherwise)."""
         try:
             payload = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
@@ -258,25 +274,13 @@ class SweepConfig:
         ):
             raise FormatError(f"{path}: amplitudes must be nonnegative numbers")
         kwargs = {"amplitudes": tuple(float(a) for a in amps)}
-        for key, cast in (
-            ("n_seeds", int),
-            ("seed", int),
-            ("lam", float),
-            ("step", float),
-            ("level_count", int),
-            ("window", lambda w: (float(w[0]), float(w[1]))),
-        ):
+        for key, (accepts, kind, cast) in _SWEEP_KEYS.items():
             if key not in payload:
                 continue
             value = payload[key]
-            if key == "window" and not (isinstance(value, list) and len(value) == 2):
-                raise FormatError(f"{path}: window must be [lo, hi]")
-            if any(isinstance(v, bool) for v in (value if key == "window" else [value])):
-                raise FormatError(f"{path}: bad value for {key!r}: {value!r} (not a number)")
-            try:
-                kwargs[key] = cast(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise FormatError(f"{path}: bad value for {key!r}: {value!r} ({exc})") from exc
+            if not accepts(value):
+                raise FormatError(f"{path}: {key!r} must be {kind}, got {value!r}")
+            kwargs[key] = cast(value)
         return SweepConfig(**kwargs)
 
 
@@ -431,10 +435,10 @@ def _cmd_rearrange(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    config = PipelineConfig(level_count=args.levels, supconv_mode="auto")
     f = read_function(args.f)
     g = read_function(args.g)
     h = sup_convolution(f, g, args.lam, mode="auto")
-    config = PipelineConfig(level_count=args.levels, supconv_mode="auto")
     report, *_ = stability_decompose(PLTriple(f, g, h, args.lam), config)
     text = report.to_json() + "\n"
     sys.stdout.write(text)

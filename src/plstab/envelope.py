@@ -111,27 +111,24 @@ def _upper_hull(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(keep_x), np.asarray(keep_y)
 
 
-def least_concave_majorant(
-    T: np.ndarray, psi: np.ndarray, valid: np.ndarray | None = None
-) -> np.ndarray:
-    """Smallest concave function dominating ``psi`` on its valid points.
+def least_concave_majorant(T: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Smallest concave function dominating ``psi`` on its finite points.
 
-    The hull is computed on the valid points and evaluated on the whole
-    grid: linear interpolation between hull vertices inside the valid
-    range and linear extrapolation with the end slopes outside it, so the
+    The hull is computed on the finite points and evaluated on the whole
+    grid: linear interpolation between hull vertices inside their range
+    and linear extrapolation with the end slopes outside it, so the
     returned samples are concave on the entire grid.
 
     Args:
         T: Strictly increasing sample points.
-        psi: Sampled values (entries at invalid points are ignored and may
-            be NaN).
-        valid: Optional mask of usable points; defaults to finite entries.
+        psi: Sampled values; a non-finite entry marks a point that is
+            left out.
 
     Returns:
         Array of majorant values on all of ``T``.
 
     Raises:
-        DomainError: If fewer than two points are valid.
+        DomainError: If fewer than two points are finite.
     """
     T = np.asarray(T, dtype=float)
     psi = np.asarray(psi, dtype=float)
@@ -139,15 +136,12 @@ def least_concave_majorant(
         raise DomainError("T and psi must have equal length")
     if T.size >= 2 and not np.all(np.diff(T) > 0):
         raise DomainError("T must be strictly increasing")
-    if valid is None:
-        valid = np.isfinite(psi)
-    else:
-        valid = np.asarray(valid, dtype=bool) & np.isfinite(psi)
-    if valid.sum() < 2:
-        raise DomainError("least_concave_majorant needs at least two valid points")
-    hx, hy = _upper_hull(T[valid], psi[valid])
+    finite = np.isfinite(psi)
+    if finite.sum() < 2:
+        raise DomainError("least_concave_majorant needs at least two finite points")
+    hx, hy = _upper_hull(T[finite], psi[finite])
     out = np.interp(T, hx, hy)
-    # The chain keeps the first and last of at least two valid points.
+    # The chain keeps the first and last of at least two finite points.
     s0 = (hy[1] - hy[0]) / (hx[1] - hx[0])
     s1 = (hy[-1] - hy[-2]) / (hx[-1] - hx[-2])
     lo = T < hx[0]
@@ -250,7 +244,7 @@ def three_point_check(
 
         (1-lam) a(R) + lam b(S) <= (1-lam) a(T) + lam b(T) + sigma + slack.
 
-    ``profile_c`` (the combined function's profile) contributes validity
+    ``profile_c`` (the combined function's profile) contributes usability
     at the interpolated level: all of a, b, c must be usable at T.  The
     slack is the snap distance times the local Lipschitz constants of the
     half-width samples, so unsnapped grid points get none.
@@ -281,8 +275,8 @@ def three_point_check(
     la = _lipschitz(wa, ua)
     lb = _lipschitz(wb, ub)
     scale = 1.0 + max(
-        float(np.nanmax(np.abs(wa[ua]))) if ua.any() else 0.0,
-        float(np.nanmax(np.abs(wb[ub]))) if ub.any() else 0.0,
+        float(np.max(np.abs(wa[ua]))) if ua.any() else 0.0,
+        float(np.max(np.abs(wb[ub]))) if ub.any() else 0.0,
     )
     guard = 1e-12 * scale
     exact, wi, wj, den = _weights(lam, (1, -1), (0, 1), (1, 0))
@@ -315,7 +309,6 @@ def four_point_check(
     psis: list[np.ndarray],
     lam: float,
     sigma: float,
-    valid: np.ndarray | None,
 ) -> list[ViolationReport]:
     """Conjugate-pair interpolation check of sampled functions, one report each.
 
@@ -329,11 +322,10 @@ def four_point_check(
     where the slack is the local Lipschitz constant (max adjacent
     difference of psi over valid points) times the total snap distance of
     the two combinations.  Violations are counted only when all four
-    points are valid.  A point is valid when ``valid`` (None: every point)
-    holds there and every psi is finite, so the pair geometry (the pairs,
-    their snapped indices and snap distances) is computed once per chunk
-    for all of them; each psi keeps its own Lipschitz constant, guard and
-    tally.
+    points are valid.  A point is valid when every psi is finite there,
+    so the pair geometry (the pairs, their snapped indices and snap
+    distances) is computed once per chunk for all of them; each psi keeps
+    its own Lipschitz constant, guard and tally.
 
     Snapping: both targets go to their nearest grid index by
     ``plcore._nearest``; for ``lam == p/q`` they are the numerators
@@ -359,8 +351,6 @@ def four_point_check(
     if not np.allclose(dT, dT[0], rtol=1e-9, atol=0.0):
         raise DomainError("four_point_check requires a uniform grid")
     mask = np.logical_and.reduce([np.isfinite(psi) for psi in psis])
-    if valid is not None:
-        mask &= np.asarray(valid, dtype=bool)
     lips = [_lipschitz(psi, mask) for psi in psis]
     guards = [
         1e-12 * (1.0 + float(np.max(np.abs(psi[mask]))) if mask.any() else 1.0)

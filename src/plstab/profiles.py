@@ -58,57 +58,60 @@ def _superlevel_counts(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
 class LevelProfile:
     """Superlevel interval data of one function over a grid of levels.
 
+    A level is absent (empty, or left out by ``restricted``) exactly
+    where its boundaries are NaN; every other level is usable.
+
     Attributes:
         levels: Increasing positive levels.
-        left: Left hull endpoint per level (NaN when the set is empty).
-        right: Right hull endpoint per level (NaN when empty).
-        valid: Per-level usability mask.  Freshly extracted profiles mark
-            exactly the nonempty levels; the pipeline intersects this with
-            the good-level mask before regularizing.
+        left: Left hull endpoint per level (NaN when absent).
+        right: Right hull endpoint per level (NaN exactly where left is).
         hull_deficit: Hull length minus superlevel measure (NaN when
-            empty, 0 after regularization).
-        regularized: True once the boundaries have been made monotone.
+            absent, 0 after regularization).
     """
 
     levels: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    valid: np.ndarray
     hull_deficit: np.ndarray
-    regularized: bool = False
 
     def __post_init__(self) -> None:
         n = self.levels.size
-        for name in ("left", "right", "valid", "hull_deficit"):
+        for name in ("left", "right", "hull_deficit"):
             if getattr(self, name).size != n:
                 raise DomainError(f"profile field {name} has wrong length")
         if n >= 2 and not np.all(np.diff(self.levels) > 0):
             raise DomainError("levels must be strictly increasing")
         if np.any(self.levels <= 0):
             raise DomainError("levels must be positive")
-
-    @property
-    def nonempty(self) -> np.ndarray:
-        """Mask of levels whose recorded interval exists."""
-        return ~np.isnan(self.left)
+        if np.isinf(self.left).any() or np.isinf(self.right).any():
+            raise DomainError("profile boundaries must be finite or NaN")
+        if not np.array_equal(np.isnan(self.left), np.isnan(self.right)):
+            raise DomainError("left and right must be NaN at the same levels")
 
     @property
     def log_levels(self) -> np.ndarray:
         return np.log(self.levels)
 
     def usable(self) -> np.ndarray:
-        """Levels that are both valid and nonempty."""
-        return self.valid & self.nonempty
+        """Levels whose recorded interval exists."""
+        return ~np.isnan(self.left)
 
-    def with_valid(self, valid: np.ndarray) -> "LevelProfile":
-        return replace(self, valid=np.asarray(valid, dtype=bool))
+    def restricted(self, keep: np.ndarray) -> "LevelProfile":
+        """The profile with every level outside ``keep`` made absent."""
+        keep = np.asarray(keep, dtype=bool)
+        return replace(
+            self,
+            left=np.where(keep, self.left, np.nan),
+            right=np.where(keep, self.right, np.nan),
+            hull_deficit=np.where(keep, self.hull_deficit, np.nan),
+        )
 
 
 def extract_profile(f: GridFunction, levels: np.ndarray) -> LevelProfile:
     """Hull endpoints and hull deficits of ``{f > t}`` for each level.
 
-    Levels at or above the sup norm produce empty sets (NaN endpoints,
-    valid=False).  Measures are exact cell counts times the step.
+    Levels at or above the sup norm produce empty sets (NaN endpoints).
+    Measures are exact cell counts times the step.
 
     The first cell above t is the first place where the running maximum
     of the values exceeds t, so one ``searchsorted`` on the running
@@ -121,13 +124,13 @@ def extract_profile(f: GridFunction, levels: np.ndarray) -> LevelProfile:
     last = vals.size - 1 - np.searchsorted(
         np.maximum.accumulate(vals[::-1]), levels, side="right"
     )
-    valid = counts > 0
+    nonempty = counts > 0
     lo = f.origin + first * f.step
     hi = f.origin + (last + 1) * f.step
-    left = np.where(valid, lo, np.nan)
-    right = np.where(valid, hi, np.nan)
-    deficit = np.where(valid, (hi - lo) - counts * f.step, np.nan)
-    return LevelProfile(levels, left, right, valid, deficit)
+    left = np.where(nonempty, lo, np.nan)
+    right = np.where(nonempty, hi, np.nan)
+    deficit = np.where(nonempty, (hi - lo) - counts * f.step, np.nan)
+    return LevelProfile(levels, left, right, deficit)
 
 
 @dataclass(frozen=True)
@@ -190,25 +193,25 @@ def good_levels(
 
 
 def regularize(profile: LevelProfile) -> LevelProfile:
-    """Make the recorded intervals nested by combining valid levels above.
+    """Make the recorded intervals nested by combining usable levels above.
 
     For each level t the regularized interval is the hull of the recorded
-    intervals over all *usable* (valid and nonempty) levels at or above t:
+    intervals over all usable levels at or above t:
 
         left~(t)  = min { left(s)  : s >= t usable },
         right~(t) = max { right(s) : s >= t usable }.
 
     Levels with no usable level at or above them stay empty.  The output
     boundaries are monotone (left nondecreasing, right nonincreasing in
-    the level), every assigned level is marked valid, hull deficits are 0
-    by construction, and the operation is idempotent.
+    the level), hull deficits are 0 by construction, and the operation is
+    idempotent.
 
     Raises:
         DomainError: If no level is usable.
     """
     usable = profile.usable()
     if not usable.any():
-        raise DomainError("regularize requires at least one valid nonempty level")
+        raise DomainError("regularize requires at least one usable level")
     # Running extrema from the top level down, over usable levels only.
     run_left = np.minimum.accumulate(np.where(usable, profile.left, np.inf)[::-1])[::-1]
     run_right = np.maximum.accumulate(np.where(usable, profile.right, -np.inf)[::-1])[::-1]
@@ -217,16 +220,14 @@ def regularize(profile: LevelProfile) -> LevelProfile:
         levels=profile.levels,
         left=np.where(assigned, run_left, np.nan),
         right=np.where(assigned, run_right, np.nan),
-        valid=assigned,
         hull_deficit=np.where(assigned, 0.0, np.nan),
-        regularized=True,
     )
 
 
 def build_bubble(profile: LevelProfile, floor_level: float, step: float) -> GridFunction:
     """Rebuild the function whose superlevel sets are the recorded intervals.
 
-    For a regularized profile with nested intervals ``(a_k, b_k)`` at
+    For a profile with nested intervals ``(a_k, b_k)`` at
     levels ``t_k >= floor_level``, returns the grid function
 
         fbar(x) = max { t_k : a_k <= x < b_k },   0 below the floor,
@@ -240,7 +241,8 @@ def build_bubble(profile: LevelProfile, floor_level: float, step: float) -> Grid
     ``sup_convolution`` takes its level split only on unimodal inputs.
 
     Args:
-        profile: A regularized profile.
+        profile: A profile whose usable intervals are nested, such as
+            the output of ``regularize``.
         floor_level: Levels below this are dropped.
         step: Output cell width.
 
@@ -250,11 +252,8 @@ def build_bubble(profile: LevelProfile, floor_level: float, step: float) -> Grid
     [0, 1) when no level is usable.
 
     Raises:
-        DomainError: If the profile is not regularized, or its usable
-            intervals are not nested.
+        DomainError: If the usable intervals are not nested.
     """
-    if not profile.regularized:
-        raise DomainError("build_bubble requires a regularized profile")
     keep = profile.usable() & (profile.levels >= floor_level)
     lv = profile.levels[keep]
     a = profile.left[keep]

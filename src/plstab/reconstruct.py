@@ -264,12 +264,12 @@ def log_concave_hull(f: GridFunction) -> GridFunction:
         return f.with_values(np.zeros(f.size))
     if hi - lo == 1:
         return f.with_values(f.values.copy())
-    centers = f.centers()[lo:hi]
     vals = f.values[lo:hi]
     pos = vals > 0
+    # Zero cells stay -inf, which the majorant leaves out.
     logs = np.full(vals.size, -np.inf)
     logs[pos] = np.log(vals[pos])
-    hull_logs = least_concave_majorant(centers, logs, valid=pos)
+    hull_logs = least_concave_majorant(f.centers()[lo:hi], logs)
     out = np.zeros(f.size)
     out[lo:hi] = np.exp(hull_logs)
     return f.with_values(out)
@@ -443,6 +443,10 @@ def align(
 # -- the pipeline -------------------------------------------------------------
 
 
+# The most levels: stage 3's ``four_point_check`` takes at most 4096 points.
+_MAX_LEVEL_COUNT = 4096
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Settings of the stability pipeline.
@@ -452,12 +456,21 @@ class PipelineConfig:
     of 8 steps, and the theorem constants use ``omega0 = 1``.
 
     Attributes:
-        level_count: Size of the geometric level grid.
+        level_count: Size of the geometric level grid, an integer in 2..4096.
         supconv_mode: Mode for canonical sup-convolutions in the pipeline.
+
+    A level count out of range raises ``DomainError`` on construction.
     """
 
     level_count: int = 512
     supconv_mode: Literal["snap", "halfgrid", "auto"] = "snap"
+
+    def __post_init__(self) -> None:
+        count = self.level_count
+        if not (isinstance(count, (int, np.integer)) and 2 <= count <= _MAX_LEVEL_COUNT):
+            raise DomainError(
+                f"level_count must be an integer in 2..{_MAX_LEVEL_COUNT}, got {count}"
+            )
 
 
 @dataclass(frozen=True)
@@ -601,17 +614,13 @@ def stability_decompose(
 
     pf = extract_profile(fn, levels)
     pg = extract_profile(gn, levels)
-    mask_f = pf.valid & good.mask
-    mask_g = pg.valid & good.mask
-    if not (mask_f & pf.nonempty).any() or not (mask_g & pg.nonempty).any():
-        # Degenerate good set: fall back to the raw nonempty levels.
-        flags["good_levels_empty"] = True
-        mask_f = pf.valid
-        mask_g = pg.valid
-    else:
-        flags["good_levels_empty"] = False
-    rf = regularize(pf.with_valid(mask_f))
-    rg = regularize(pg.with_valid(mask_g))
+    rf, rg = pf.restricted(good.mask), pg.restricted(good.mask)
+    # A degenerate good set falls back to the raw nonempty levels.
+    flags["good_levels_empty"] = not (rf.usable().any() and rg.usable().any())
+    if flags["good_levels_empty"]:
+        rf, rg = pf, pg
+    rf = regularize(rf)
+    rg = regularize(rg)
 
     # Stage 3: bubbles and interpolation diagnostics.
     fbar = build_bubble(rf, floor, step=fn.step)
@@ -631,11 +640,8 @@ def stability_decompose(
     # Right boundaries should be almost concave, left boundaries almost
     # convex (checked through their negation).
     for name, prof in (("f", rf), ("g", rg)):
-        usable = prof.usable()
-        if usable.sum() >= 2:
-            fp_b, fp_a = four_point_check(
-                prof.log_levels, [prof.right, -prof.left], lam, sigma, usable
-            )
+        if prof.usable().sum() >= 2:
+            fp_b, fp_a = four_point_check(prof.log_levels, [prof.right, -prof.left], lam, sigma)
             flags[f"four_point_b_{name}_violations"] = fp_b.count
             flags[f"four_point_a_{name}_violations"] = fp_a.count
 

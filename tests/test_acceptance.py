@@ -171,10 +171,10 @@ def test_majorant_suite_and_planted_violation():
         m2 = least_concave_majorant(T, m)
         assert np.max(np.abs(m2 - m)) <= 1e-12 * scale
         lam = float(rng.uniform(0.05, 0.95))
-        [rep] = four_point_check(T, [m], lam, 0.0, None)
+        [rep] = four_point_check(T, [m], lam, 0.0)
         assert rep.count == 0, seed
     [planted] = four_point_check(
-        np.linspace(0.0, 1.0, 4), [np.linspace(0.0, 1.0, 4) ** 2], 0.5, 0.0, None
+        np.linspace(0.0, 1.0, 4), [np.linspace(0.0, 1.0, 4) ** 2], 0.5, 0.0
     )
     assert planted.count >= 1
     assert planted.max_excess == pytest.approx(4.0 / 9.0, abs=1e-9)

@@ -164,6 +164,20 @@ def test_reconstruct_2d_files_exit_2(tmp_path, capsys):
         assert "one dimension, got 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("levels", ["5000", "1"])
+def test_reconstruct_level_count_out_of_range_exit_2(tmp_path, capsys, monkeypatch, levels):
+    f = gaussian(0.0, 1.0, 1.0, step=4e-3, window=(-3, 3))
+    pf, pg = write_pair(tmp_path, f, f)
+
+    def no_stage_runs(*args, **kwargs):
+        raise AssertionError("the level count is checked before any stage runs")
+
+    monkeypatch.setattr("plstab.cli.sup_convolution", no_stage_runs)
+    assert main(["reconstruct", pf, pg, "--lam", "0.5", "--levels", levels]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: level_count must be an integer in 2..4096, got " + levels)
+
+
 # -- example families ---------------------------------------------------------------
 
 
@@ -283,7 +297,9 @@ def test_sweep_config_errors(tmp_path):
 def test_sweep_config_bad_grid_exit_2(tmp_path, capsys, key, value):
     cfg = sweep_config(tmp_path, **{key: value})
     assert main(["sweep", "--config", cfg]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""  # no row was written
 
 
 def test_sweep_config_level_count_4096_is_accepted():
@@ -311,6 +327,11 @@ def test_sweep_config_boolean_amplitude_exit_3(tmp_path, capsys):
         ("n_seeds", True),
         ("lam", False),
         ("window", [True, 2.0]),
+        ("n_seeds", "2"),
+        ("lam", "0.5"),
+        ("level_count", 64.9),
+        ("seed", 1.5),
+        ("window", ["-4", 4]),
     ],
 )
 def test_sweep_config_bad_value_exit_3(tmp_path, capsys, key, value):

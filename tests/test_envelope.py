@@ -35,10 +35,13 @@ def profile_from_halfwidth(levels, half):
         levels=np.asarray(levels, dtype=float),
         left=-half,
         right=half,
-        valid=np.ones(half.size, dtype=bool),
         hull_deficit=np.zeros(half.size),
-        regularized=True,
     )
+
+
+def masked(psi, valid):
+    """``psi`` with every point outside ``valid`` left out (NaN)."""
+    return np.where(valid, psi, np.nan)
 
 
 # -- least_concave_majorant ---------------------------------------------------
@@ -97,7 +100,7 @@ def test_majorant_with_valid_mask_extrapolates_linearly():
     T = np.linspace(0, 4, 5)
     psi = np.array([100.0, 1.0, 2.0, 1.5, -50.0])
     valid = np.array([False, True, True, True, False])
-    m = least_concave_majorant(T, psi, valid=valid)
+    m = least_concave_majorant(T, masked(psi, valid))
     # Inside the valid range: hull of (1,1), (2,2), (3,1.5).
     assert m[1] == pytest.approx(1.0)
     assert m[2] == pytest.approx(2.0)
@@ -110,7 +113,7 @@ def test_majorant_with_valid_mask_extrapolates_linearly():
 def test_majorant_requires_two_valid_points():
     T = np.array([0.0, 1.0])
     with pytest.raises(DomainError):
-        least_concave_majorant(T, np.array([1.0, 2.0]), valid=np.array([True, False]))
+        least_concave_majorant(T, np.array([1.0, np.nan]))
 
 
 # -- greatest_convex_minorant ---------------------------------------------------
@@ -244,19 +247,19 @@ def test_four_point_concave_passes_at_zero_sigma():
         T = np.linspace(0, 1, n)
         slopes = np.sort(rng.uniform(-2, 2, n - 1))[::-1]
         psi = np.concatenate([[0.0], np.cumsum(slopes * np.diff(T))])
-        [rep] = four_point_check(T, [psi], float(rng.uniform(0.2, 0.8)), 0.0, None)
+        [rep] = four_point_check(T, [psi], float(rng.uniform(0.2, 0.8)), 0.0)
         assert rep.count == 0, rep.worst
 
 
 def test_four_point_linear_saturates():
     T = np.linspace(0, 1, 33)
-    [rep] = four_point_check(T, [3.0 * T - 1.0], 0.4, 0.0, None)
+    [rep] = four_point_check(T, [3.0 * T - 1.0], 0.4, 0.0)
     assert rep.count == 0
 
 
 def test_four_point_planted_square():
     T = np.linspace(0, 1, 4)
-    [rep] = four_point_check(T, [T**2], 0.5, 0.0, None)
+    [rep] = four_point_check(T, [T**2], 0.5, 0.0)
     assert rep.count == 1
     assert rep.max_excess == pytest.approx(4.0 / 9.0, abs=1e-9)
     assert rep.worst == pytest.approx((0.0, 1.0, 1.0 / 3.0, 2.0 / 3.0), abs=1e-12)
@@ -264,13 +267,13 @@ def test_four_point_planted_square():
 
 def test_four_point_sigma_suppresses_planted():
     T = np.linspace(0, 1, 4)
-    [rep] = four_point_check(T, [T**2], 0.5, 0.5, None)
+    [rep] = four_point_check(T, [T**2], 0.5, 0.5)
     assert rep.count == 0
 
 
 def test_four_point_report_names_the_worst_quadruple():
     T = np.linspace(0, 1, 4)
-    [rep] = four_point_check(T, [T**2], 0.5, 0.0, None)
+    [rep] = four_point_check(T, [T**2], 0.5, 0.0)
     assert rep.count == 1
     assert len(rep.worst) == 4
 
@@ -278,13 +281,13 @@ def test_four_point_report_names_the_worst_quadruple():
 def test_four_point_requires_uniform_grid():
     T = np.array([0.0, 0.1, 0.5, 1.0])
     with pytest.raises(DomainError):
-        four_point_check(T, [T**2], 0.5, 0.0, None)
+        four_point_check(T, [T**2], 0.5, 0.0)
 
 
 def test_four_point_rejects_more_than_4096_points():
     T = np.arange(4097.0)
     with pytest.raises(DomainError, match="limited to 4096 points, got 4097"):
-        four_point_check(T, [-(T**2)], 0.5, 0.0, None)
+        four_point_check(T, [-(T**2)], 0.5, 0.0)
 
 
 # -- vectorised checks against the per-row loops they replaced ----------------------
@@ -416,7 +419,7 @@ def noisy_profile(rng, levels, keep):
     u = np.linspace(0.0, 1.0, levels.size)
     half = 2.0 - u - 0.5 * u**2 + 0.02 * rng.standard_normal(levels.size)
     p = profile_from_halfwidth(levels, half)
-    return p.with_valid(rng.random(levels.size) < keep)
+    return p.restricted(rng.random(levels.size) < keep)
 
 
 @pytest.mark.parametrize("lam", CHECK_LAMBDAS)
@@ -442,7 +445,7 @@ def test_four_point_matches_row_loop(lam, sigma):
     valid = rng.random(n) < 0.8
     nv = int(valid.sum())
     assert nv * (nv + 1) // 2 > 3 * _CHUNK_PAIRS
-    [rep] = four_point_check(T, [psi], lam, sigma, valid)
+    [rep] = four_point_check(T, [masked(psi, valid)], lam, sigma)
     ref = loop_four_point(T, psi, lam, sigma, valid)
     assert ref[0] > 0
     assert_report_matches(rep, ref)
@@ -456,24 +459,25 @@ def test_four_point_several_psis_share_one_geometry(lam):
     right = -(T**2) + 0.01 * rng.standard_normal(T.size)
     left = T**2 + 0.02 * rng.standard_normal(T.size)
     valid = rng.random(T.size) < 0.8
-    reports = four_point_check(T, [right, -left], lam, 1e-3, valid)
-    for psi, rep in zip([right, -left], reports):
-        [alone] = four_point_check(T, [psi], lam, 1e-3, valid)
+    psis = [masked(right, valid), masked(-left, valid)]
+    reports = four_point_check(T, psis, lam, 1e-3)
+    for psi, rep in zip(psis, reports):
+        [alone] = four_point_check(T, [psi], lam, 1e-3)
         assert rep == alone
 
 
 def test_checks_with_too_few_usable_points():
     lv = geometric_levels(8)
     p = profile_from_halfwidth(lv, np.ones(8))
-    none = p.with_valid(np.zeros(8, dtype=bool))
+    none = p.restricted(np.zeros(8, dtype=bool))
     rep = three_point_check(none, p, p, 0.3, 0.0)
     assert (rep.count, rep.checked, rep.max_excess, rep.worst) == (0, 0, 0.0, None)
     T = np.linspace(0.0, 1.0, 8)
-    [rep] = four_point_check(T, [T**2], 0.3, 0.0, np.zeros(8, dtype=bool))
+    [rep] = four_point_check(T, [masked(T**2, np.zeros(8, dtype=bool))], 0.3, 0.0)
     assert (rep.count, rep.checked, rep.max_excess, rep.worst) == (0, 0, 0.0, None)
     one = np.zeros(8, dtype=bool)
     one[3] = True
-    [rep] = four_point_check(T, [T**2], 0.3, 0.0, one)
+    [rep] = four_point_check(T, [masked(T**2, one)], 0.3, 0.0)
     assert (rep.count, rep.checked) == (0, 1)
 
 
@@ -488,7 +492,7 @@ def test_four_point_worst_is_first_of_tied_maxima():
     psi[d] = -1.0
     valid = np.abs(np.arange(n) - d) > 10
     valid[d] = True
-    [rep] = four_point_check(T, [psi], 0.5, 0.0, valid)
+    [rep] = four_point_check(T, [masked(psi, valid)], 0.5, 0.0)
     assert rep.max_excess == 1.0
     assert rep.worst == (T[0], T[3 * d // 2], T[d // 2], T[d])
     assert_report_matches(rep, loop_four_point(T, psi, 0.5, 0.0, valid))
@@ -501,11 +505,11 @@ def test_three_point_exact_tie_rounds_half_up():
     assert np.floor((1.0 - 0.3) * 6 + 0.3 * 1 + 0.5) == 4.0
     lv = geometric_levels(7)
     left = np.zeros(7)
-    a = profile_from_halfwidth(lv, np.ones(7)).with_valid(np.isin(np.arange(7), [5, 6]))
+    a = profile_from_halfwidth(lv, np.ones(7)).restricted(np.isin(np.arange(7), [5, 6]))
     right_b = np.ones(7)
     right_b[1] = 3.0
-    b = LevelProfile(lv, left, right_b, np.isin(np.arange(7), [1, 5]), np.zeros(7), True)
-    c = profile_from_halfwidth(lv, np.ones(7)).with_valid(np.arange(7) == 5)
+    b = LevelProfile(lv, left, right_b, np.zeros(7)).restricted(np.isin(np.arange(7), [1, 5]))
+    c = profile_from_halfwidth(lv, np.ones(7)).restricted(np.arange(7) == 5)
     rep = three_point_check(a, b, c, 0.3, 0.0)
     # Pairs (5, 5) and (6, 1) land on level 5; the float rule would send
     # (6, 1) to the unusable level 4 and check one pair with no violation.
@@ -525,7 +529,7 @@ def test_four_point_exact_tie_rounds_half_up():
     T = np.linspace(0.0, 1.0, 5)
     psi = np.array([2.0, 0.0, 0.0, 0.0, 2.0])
     valid = np.array([True, False, True, True, True])
-    [rep] = four_point_check(T, [psi], 0.4, 0.0, valid)
+    [rep] = four_point_check(T, [masked(psi, valid)], 0.4, 0.0)
     # Lipschitz constant 2, snap distance 4/8 + 4/8: excess 4 - 2 = 2.
     assert rep.worst == (T[0], T[4], T[2], T[3])
     assert rep.max_excess == 2.0

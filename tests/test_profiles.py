@@ -22,21 +22,37 @@ from plstab.synth import gaussian, indicator, random_grid_function
 STEP = 1e-3
 
 
-def make_profile(levels, left, right, valid=None, regularized=False):
+def make_profile(levels, left, right, valid=None):
     levels = np.asarray(levels, dtype=float)
     left = np.asarray(left, dtype=float)
     right = np.asarray(right, dtype=float)
-    if valid is None:
-        valid = ~np.isnan(left)
     hull = np.where(np.isnan(left), np.nan, 0.0)
-    return LevelProfile(
-        levels=levels,
-        left=left,
-        right=right,
-        valid=np.asarray(valid, dtype=bool),
-        hull_deficit=hull,
-        regularized=regularized,
-    )
+    p = LevelProfile(levels=levels, left=left, right=right, hull_deficit=hull)
+    return p if valid is None else p.restricted(valid)
+
+
+# -- LevelProfile -----------------------------------------------------------------
+
+
+def test_profile_rejects_nans_on_different_levels():
+    levels = np.array([0.1, 0.2, 0.4])
+    with pytest.raises(DomainError, match="same levels"):
+        LevelProfile(levels, np.array([0.0, np.nan, 0.0]), np.ones(3), np.zeros(3))
+    with pytest.raises(DomainError, match="same levels"):
+        LevelProfile(levels, np.zeros(3), np.array([1.0, 1.0, np.nan]), np.zeros(3))
+
+
+def test_profile_rejects_infinite_boundaries():
+    with pytest.raises(DomainError, match="finite or NaN"):
+        LevelProfile(np.array([0.1, 0.2]), np.array([-np.inf, 0.0]), np.ones(2), np.zeros(2))
+
+
+def test_restricted_makes_levels_outside_keep_absent():
+    p = make_profile([0.1, 0.2, 0.4], [-3.0, np.nan, -1.0], [3.0, np.nan, 1.0])
+    r = p.restricted([True, True, False])
+    assert np.array_equal(r.usable(), [True, False, False])
+    assert np.isnan(r.right[2]) and np.isnan(r.hull_deficit[2])
+    assert r.left[0] == -3.0 and r.hull_deficit[0] == 0.0
 
 
 # -- level_grid -------------------------------------------------------------------
@@ -67,7 +83,7 @@ def test_profile_of_box():
     assert p.left[0] == pytest.approx(0.0)
     assert p.right[0] == pytest.approx(1.0)
     assert p.hull_deficit[0] == pytest.approx(0.0)
-    assert p.valid[0]
+    assert p.usable()[0]
 
 
 def test_profile_of_two_bump():
@@ -91,9 +107,8 @@ def test_profile_of_triangle():
 def test_profile_levels_above_sup_are_invalid():
     f = indicator(0.0, 1.0, 1.0, 0.01)
     p = extract_profile(f, np.array([0.5, 2.0]))
-    assert p.valid[0] and not p.valid[1]
-    assert np.isnan(p.left[1])
-    assert not p.nonempty[1]
+    assert p.usable()[0] and not p.usable()[1]
+    assert np.isnan(p.left[1]) and np.isnan(p.right[1])
 
 
 def test_profile_width_matches_superlevel_measure():
@@ -102,7 +117,7 @@ def test_profile_width_matches_superlevel_measure():
         f = GridFunction(0.0, 0.01, rng.uniform(0, 1, 200))
         t = rng.uniform(0.0, 0.9)
         p = extract_profile(f, np.array([t]))
-        if not p.nonempty[0]:
+        if not p.usable()[0]:
             continue
         width = p.right[0] - p.left[0]
         assert width - p.hull_deficit[0] == pytest.approx(
@@ -157,7 +172,7 @@ def test_extract_profile_matches_level_loop(values, levels):
     assert p.left.tobytes() == left.tobytes()
     assert p.right.tobytes() == right.tobytes()
     assert p.hull_deficit.tobytes() == deficit.tobytes()
-    assert p.valid.dtype == bool and np.array_equal(p.valid, valid)
+    assert np.array_equal(p.usable(), valid)
 
 
 def test_extract_profile_matches_level_loop_on_random_functions():
@@ -172,7 +187,7 @@ def test_extract_profile_matches_level_loop_on_random_functions():
         assert p.left.tobytes() == left.tobytes(), seed
         assert p.right.tobytes() == right.tobytes(), seed
         assert p.hull_deficit.tobytes() == deficit.tobytes(), seed
-        assert np.array_equal(p.valid, valid), seed
+        assert np.array_equal(p.usable(), valid), seed
 
 
 # -- good_levels ---------------------------------------------------------------------
@@ -223,7 +238,6 @@ def test_regularize_monotone_profile_unchanged():
     p = make_profile([0.1, 0.2, 0.4], [-3.0, -2.0, -1.0], [3.0, 2.0, 1.0])
     r = regularize(p)
     assert np.allclose(r.left, p.left) and np.allclose(r.right, p.right)
-    assert r.regularized
 
 
 def test_regularize_running_extrema():
@@ -308,7 +322,7 @@ def test_regularize_matches_level_loop_on_random_masked_profiles():
         ref_left, ref_right, assigned = loop_regularize(p)
         assert r.left.tobytes() == ref_left.tobytes(), case
         assert r.right.tobytes() == ref_right.tobytes(), case
-        assert np.array_equal(r.valid, assigned), case
+        assert np.array_equal(r.usable(), assigned), case
         ref_deficit = np.where(assigned, 0.0, np.nan)
         assert r.hull_deficit.tobytes() == ref_deficit.tobytes(), case
 
@@ -364,26 +378,20 @@ def test_bubble_output_is_bubble_shaped():
         assert np.all(np.diff(v[peak:]) <= 0.0)
 
 
-def test_bubble_requires_regularized():
-    p = make_profile([0.5], [0.0], [1.0])
-    with pytest.raises(DomainError):
-        build_bubble(p, 0.0, step=0.01)
-
-
 def test_bubble_rejects_intervals_that_are_not_nested():
-    p = make_profile([0.2, 0.5], [0.0, -1.0], [1.0, 2.0], regularized=True)
+    p = make_profile([0.2, 0.5], [0.0, -1.0], [1.0, 2.0])
     with pytest.raises(DomainError, match="nested"):
         build_bubble(p, 0.0, step=0.01)
 
 
 def test_bubble_degenerate_profile_is_zero():
-    p = make_profile([0.5, 0.7], [np.nan, np.nan], [np.nan, np.nan], regularized=True)
+    p = make_profile([0.5, 0.7], [np.nan, np.nan], [np.nan, np.nan])
     fb = build_bubble(p, 0.0, step=0.01)
     assert fb.is_zero()
 
 
 def test_bubble_floor_above_all_levels_is_zero():
-    p = make_profile([0.5], [0.0], [1.0], regularized=True)
+    p = make_profile([0.5], [0.0], [1.0])
     fb = build_bubble(p, 2.0, step=0.01)
     assert fb.is_zero()
 

@@ -356,6 +356,14 @@ def test_reports_write_non_finite_floats_as_null():
     }
 
 
+def test_pipeline_config_checks_the_level_count():
+    for count in (1, 4097, 64.5):
+        with pytest.raises(DomainError, match="level_count must be an integer in 2..4096"):
+            PipelineConfig(level_count=count)
+    assert PipelineConfig(level_count=2).level_count == 2
+    assert PipelineConfig(level_count=4096).level_count == 4096
+
+
 def test_pipeline_rejects_mismatched_steps():
     f = indicator(0.0, 1.0, 1.0, 0.01)
     g = indicator(0.0, 1.0, 1.0, 0.02)

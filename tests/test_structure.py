@@ -130,7 +130,7 @@ def test_only_gridfn_forms_cell_centers(path):
 # The settable values of the package: defaulted parameters of public
 # functions and methods, defaulted fields of public dataclasses, and CLI
 # options.  A new one raises this bound in its own diff.
-MAX_SETTABLE_VALUES = 34
+MAX_SETTABLE_VALUES = 32
 
 BENCH = PACKAGE.parents[1] / "bench"
 
